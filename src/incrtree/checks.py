@@ -95,6 +95,23 @@ def check_eta_routes(g):
         _fail("evaluation at -1 does not count supported trees")
 
 
+def check_eta_definition(g):
+    """The tree route equals its defining per-tree sum: over the supported
+    increasing trees, the product of (1+t)^c - 1 over the non-root vertices,
+    c counting the attachment edges present in g."""
+    one = IntPoly.one()
+    one_plus_t = IntPoly((1, 1))
+    total = IntPoly.zero()
+    for tree in increasing_trees(g.vertices):
+        if tree.is_supported_by(g):
+            term = one
+            for v in tree.parent:
+                term = term * (one_plus_t ** len(tree.attachment_edges(v) & g.edges) - one)
+            total = total + term
+    if total != connected_subgraph_poly_from_trees(g):
+        _fail("tree route differs from the per-tree sum over supported trees")
+
+
 def check_chromatic_routes(g):
     oracle = chromatic_poly_by_subsets(g)
     if oracle != chromatic_poly_by_deletion_contraction(g):
@@ -185,6 +202,7 @@ PER_GRAPH_CHECKS = [
     ("three-way-characterization", 5, check_three_way),
     ("fiber-partition", 5, check_fiber_partition),
     ("eta-routes", SELFCHECK_LIMIT, check_eta_routes),
+    ("eta-definition", SELFCHECK_LIMIT, check_eta_definition),
     ("chromatic-routes", SELFCHECK_LIMIT, check_chromatic_routes),
     ("csf-oracle", 5, check_csf_oracle),
     ("csf-structure", SELFCHECK_LIMIT, check_csf_structure),

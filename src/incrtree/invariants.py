@@ -17,11 +17,12 @@ All arithmetic is exact; coefficients are plain Python integers.
 
 from __future__ import annotations
 
-import itertools
+import functools
+import math
 
-from .graphs import (Graph, NotConnectedError, SetPartition, check_limit,
-                     edge, set_partitions_of)
-from .trees import count_supported_trees, increasing_trees
+from .graphs import Graph, NotConnectedError, SetPartition, check_limit, edge
+from .trees import (mask_vertices, submasks, supported_partitions,
+                    supported_tree_sums)
 
 
 class IntPoly:
@@ -119,6 +120,9 @@ class IntPoly:
     def __hash__(self):
         return hash(self.coeffs)
 
+    def __bool__(self):
+        return bool(self.coeffs)
+
     def __repr__(self):
         return f"IntPoly({list(self.coeffs)})"
 
@@ -196,23 +200,15 @@ def connected_subgraph_poly_from_trees(g: Graph, max_n: int | None = None) -> In
     Each supported tree contributes the product over its non-root vertices
     of (1+t)^choices - 1, where choices counts the attachment edges present
     in g; the products telescope exactly over the fibers of ``skeleton``.
+    The sum is the full-set entry of ``supported_tree_sums``, about 3^n
+    polynomial products; ``checks`` keeps the per-tree sum as a
+    definition-level cross-check.
     """
     if not g.is_connected():
         raise NotConnectedError("the connected-subgraph polynomial needs a connected graph")
     one = IntPoly.one()
     one_plus_t = IntPoly((1, 1))
-    total = IntPoly.zero()
-    for tree in increasing_trees(g.vertices, max_n):
-        term = one
-        for v in sorted(tree.parent):
-            c = len(tree.attachment_edges(v) & g.edges)
-            if c == 0:
-                term = None
-                break
-            term = term * (one_plus_t ** c - one)
-        if term is not None:
-            total = total + term
-    return total
+    return supported_tree_sums(g, lambda c: one_plus_t ** c - one, one, max_n)[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -277,41 +273,38 @@ def chromatic_poly_from_forests(g: Graph) -> IntPoly:
 
 
 def supported_forest_counts(g: Graph) -> dict[int, int]:
-    """Map q -> number of increasing supported forests with q components.
+    """Map q -> number of increasing supported forests with q components."""
+    return _forest_counts(g, lambda q, size: q + 1, 0)
 
-    Splits off the block containing the minimum vertex and recurses over
-    the rest; per-block tree counts are memoized by vertex subset, so the
-    whole table costs about 3^n block choices.
+
+def _forest_counts(g: Graph, grow, empty) -> dict:
+    """Count the increasing supported forests of g by a key of their blocks.
+
+    A forest's key starts at ``empty`` and takes ``grow(key, size)`` for each
+    block.  Splits off the block containing the minimum vertex and recurses
+    over the rest, with supported-tree counts read from one subset table,
+    so the whole table costs about 3^n block choices.
     """
-    tree_count: dict[frozenset, int] = {}
+    n = len(g.vertices)
+    trees = supported_tree_sums(g, lambda c: 1, 1)
 
-    def trees_on(block: frozenset) -> int:
-        if block not in tree_count:
-            tree_count[block] = count_supported_trees(g.restrict(block))
-        return tree_count[block]
-
-    split_memo: dict[frozenset, dict[int, int]] = {}
-
-    def split(subset: frozenset) -> dict[int, int]:
-        if not subset:
-            return {0: 1}
-        if subset in split_memo:
-            return split_memo[subset]
-        lead = min(subset)
-        rest = sorted(subset - {lead})
-        out: dict[int, int] = {}
-        for k in range(len(rest) + 1):
-            for extra in itertools.combinations(rest, k):
-                block = frozenset((lead,) + extra)
-                ways = trees_on(block)
-                if not ways:
-                    continue
-                for q, c in split(subset - block).items():
-                    out[q + 1] = out.get(q + 1, 0) + ways * c
-        split_memo[subset] = out
+    @functools.cache
+    def split(mask: int) -> dict:
+        if not mask:
+            return {empty: 1}
+        low = mask & -mask
+        out: dict = {}
+        for extra in submasks(mask ^ low):
+            block = low | extra
+            ways = trees[block]
+            if ways:
+                size = block.bit_count()
+                for key, c in split(mask ^ block).items():
+                    key = grow(key, size)
+                    out[key] = out.get(key, 0) + ways * c
         return out
 
-    return split(frozenset(g.vertices))
+    return split((1 << n) - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -323,26 +316,17 @@ def csf_y_from_forests(g: Graph) -> dict[SetPartition, int]:
 
     The coefficient at a partition pi is (-1)^(n - blocks) times the number
     of increasing supported forests splitting the vertex set exactly as pi;
-    zero coefficients are omitted.
+    zero coefficients are omitted.  Only partitions whose blocks all carry
+    a supported tree are visited, in canonical order.
     """
     n = len(g.vertices)
-    tree_count: dict[frozenset, int] = {}
-
-    def trees_on(block) -> int:
-        key = frozenset(block)
-        if key not in tree_count:
-            tree_count[key] = count_supported_trees(g.restrict(key))
-        return tree_count[key]
-
+    trees = supported_tree_sums(g, lambda c: 1, 1)
+    vertices = mask_vertices(sorted(g.vertices))
     out: dict[SetPartition, int] = {}
-    for part in set_partitions_of(g.vertices):
-        ways = 1
-        for b in part.blocks:
-            ways *= trees_on(b)
-            if not ways:
-                break
-        if ways:
-            out[part] = ways if (n - len(part)) % 2 == 0 else -ways
+    for blocks in supported_partitions(trees, vertices, (1 << n) - 1):
+        ways = math.prod(trees[b] for b in blocks)
+        part = SetPartition(vertices[b] for b in blocks)
+        out[part] = ways if (n - len(blocks)) % 2 == 0 else -ways
     return out
 
 
@@ -371,11 +355,11 @@ def csf_x_from_forests(g: Graph) -> dict[tuple[int, ...], int]:
     The coefficient at a shape lambda is (-1)^(n - parts) times the number
     of increasing supported forests whose component sizes are lambda.
     """
-    out: dict[tuple[int, ...], int] = {}
-    for part, coeff in csf_y_from_forests(g).items():
-        shape = part.shape()
-        out[shape] = out.get(shape, 0) + coeff
-    return {shape: c for shape, c in out.items() if c}
+    n = len(g.vertices)
+    counts = _forest_counts(
+        g, lambda shape, size: tuple(sorted(shape + (size,), reverse=True)), ())
+    return {shape: c if (n - len(shape)) % 2 == 0 else -c
+            for shape, c in counts.items()}
 
 
 def collapse_by_shape(terms: dict[SetPartition, int]) -> dict[tuple[int, ...], int]:

@@ -10,13 +10,19 @@ The central relation here: below each non-root vertex v sits the set of
 tree is supported by a graph G when every attachment set meets G; supported
 trees exist only for connected G, and a supported tree need not be a
 subgraph of G.
+
+Counting never walks the (m-1)! trees: a vertex's attachment set depends
+only on its parent and its subtree's vertex set, so every sum over
+supported trees of per-vertex weights is one subset recursion
+(``supported_tree_sums``), about 3^m steps.  Forests follow by splitting
+off the block that holds the minimum vertex.
 """
 
 from __future__ import annotations
 
 import itertools
 
-from .graphs import Graph, SetPartition, check_limit, edge, link, set_partitions_of
+from .graphs import Graph, SetPartition, check_limit, edge, link
 
 
 class RootedTree:
@@ -219,37 +225,95 @@ def increasing_trees(vertices, max_n: int | None = None):
         yield RootedTree(vs[0], dict(zip(vs[1:], picks)))
 
 
-def count_supported_trees(g: Graph) -> int:
-    """Number of increasing trees on g's vertex set supported by g.
+def submasks(mask: int):
+    """Every sub-mask of mask, from mask itself down to 0."""
+    sub = mask
+    while True:
+        yield sub
+        if not sub:
+            return
+        sub = (sub - 1) & mask
 
-    Runs over all (m-1)! parent vectors with bit masks, so it is the fast
-    path behind the forest-counting invariants; it agrees with filtering
-    increasing_trees by is_supported_by.
+
+def supported_tree_sums(g: Graph, weight, one, max_n: int | None = None) -> list:
+    """Weighted sums over supported increasing trees, for every vertex subset.
+
+    Bit i of a mask stands for the i-th smallest vertex of g.  Entry S is
+    the sum over the increasing trees on S supported by g restricted to S
+    of the product, over non-root vertices v, of weight(c), where c >= 1
+    counts v's attachment edges present in g; ``one`` fixes the ring and
+    the empty mask holds zero.  As v's weight depends only on its parent
+    and its subtree's vertex set, splitting off the subtree B that holds
+    the smallest non-root vertex of S gives, with r = min S,
+
+        T(S) = sum over B of weight(|N(r) & B|) * T(B) * T(S - B),
+
+    two smaller masks each, so one ascending pass costs about 3^n/4 terms.
     """
     vs = sorted(g.vertices)
-    m = len(vs)
-    if m == 0:
-        return 0
-    if m == 1:
-        return 1
+    n = len(vs)
+    check_limit(n, max_n)
     pos = {v: i for i, v in enumerate(vs)}
-    adj = [0] * m
+    adj = [0] * n
     for u, v in g.edges:
         adj[pos[u]] |= 1 << pos[v]
         adj[pos[v]] |= 1 << pos[u]
-    total = 0
-    for picks in itertools.product(*(range(i) for i in range(1, m))):
-        # subtree masks accumulate bottom-up; children always have larger index
-        sub = [1 << i for i in range(m)]
-        for i in range(m - 1, 0, -1):
-            p = picks[i - 1]
-            d = sub[i]
-            if not adj[p] & d:
-                break
-            sub[p] |= d
-        else:
-            total += 1
-    return total
+    weights = [None] + [weight(c) for c in range(1, n)]
+    zero = one - one
+    sums = [zero] * (1 << n)
+    for s in range(1, 1 << n):
+        root = s & -s
+        below = s ^ root
+        if not below:
+            sums[s] = one
+            continue
+        low = below & -below
+        near = adj[root.bit_length() - 1]
+        acc = zero
+        for extra in submasks(below ^ low):
+            b = low | extra
+            c = (near & b).bit_count()
+            if c and sums[b] and sums[s ^ b]:
+                acc += weights[c] * sums[b] * sums[s ^ b]
+        sums[s] = acc
+    return sums
+
+
+def count_supported_trees(g: Graph) -> int:
+    """Number of increasing trees on g's vertex set supported by g.
+
+    The full-set entry of ``supported_tree_sums`` with every weight 1; it
+    agrees with filtering increasing_trees by is_supported_by.
+    """
+    return supported_tree_sums(g, lambda c: 1, 1)[-1]
+
+
+def mask_vertices(vs) -> list[tuple[int, ...]]:
+    """Table from each mask over the sorted vertices vs to its vertex tuple."""
+    table = [()]
+    for v in vs:
+        table += [b + (v,) for b in table]
+    return table
+
+
+def supported_partitions(sums, vertices, mask: int, head: tuple = ()):
+    """Yield the set partitions of mask whose blocks all have a nonzero entry
+    in sums, as tuples of block masks after ``head``, in canonical
+    SetPartition order (``vertices`` is the ``mask_vertices`` table).
+
+    The block holding the minimum is split off first, its candidates in
+    vertex-tuple order; a block with no supported tree is never expanded.
+    Every remainder has at least its all-singletons partition, so no branch
+    comes up empty.
+    """
+    if not mask:
+        yield head
+        return
+    low = mask & -mask
+    blocks = [low | extra for extra in submasks(mask ^ low)]
+    for block in sorted(blocks, key=vertices.__getitem__):
+        if sums[block]:
+            yield from supported_partitions(sums, vertices, mask ^ block, head + (block,))
 
 
 def supported_increasing_forests(g: Graph, q: int | None = None,
@@ -262,17 +326,15 @@ def supported_increasing_forests(g: Graph, q: int | None = None,
     order of the underlying partition, then per-block tree enumeration
     order, the last block advancing fastest.
     """
-    check_limit(len(g.vertices), max_n)
-    for part in sorted(set_partitions_of(g.vertices)):
-        if q is not None and len(part) != q:
+    sums = supported_tree_sums(g, lambda c: 1, 1, max_n)
+    vertices = mask_vertices(sorted(g.vertices))
+    for blocks in supported_partitions(sums, vertices, len(vertices) - 1):
+        if q is not None and len(blocks) != q:
             continue
         per_block = []
-        for b in part.blocks:
+        for mask in blocks:
+            b = vertices[mask]
             gb = g.restrict(b)
-            trees = [t for t in increasing_trees(b) if t.is_supported_by(gb)]
-            if not trees:
-                break
-            per_block.append(trees)
-        else:
-            for combo in itertools.product(*per_block):
-                yield RootedForest(combo)
+            per_block.append([t for t in increasing_trees(b) if t.is_supported_by(gb)])
+        for combo in itertools.product(*per_block):
+            yield RootedForest(combo)

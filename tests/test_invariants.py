@@ -1,6 +1,9 @@
 import random
+from math import factorial
 
 import pytest
+
+from incrtree.checks import check_eta_definition
 
 from incrtree.graphs import (BoundExceededError, Graph, NotConnectedError,
                              SetPartition, all_graphs, connected_graphs,
@@ -80,11 +83,28 @@ def test_subset_oracles_respect_limit():
         csf_y_by_subsets(big)
 
 
+def test_forest_routes_respect_limit():
+    big = Graph(17)
+    for route in (chromatic_poly_from_forests, supported_forest_counts,
+                  csf_x_from_forests, csf_y_from_forests):
+        with pytest.raises(BoundExceededError):
+            route(big)
+
+
 def test_tree_route_matches_brute_force():
     for n in range(1, 5):
         for g in connected_graphs(n):
             assert connected_subgraph_poly_from_trees(g) == \
                 connected_subgraph_poly(g)
+
+
+def test_tree_route_matches_per_tree_definition():
+    for n in range(1, 6):
+        for g in connected_graphs(n):
+            check_eta_definition(g)
+    rng = random.Random(7)
+    for _ in range(3):
+        check_eta_definition(random_connected_graph(7, rng))
 
 
 def test_tree_route_single_vertex_is_one():
@@ -198,3 +218,26 @@ def test_csf_y_specializes_to_chromatic():
         for part, coeff in csf_y_from_forests(g).items():
             spec = spec + IntPoly.x_power(len(part), coeff)
         assert spec == chromatic_poly_from_forests(g)
+
+
+# --- past the factorial wall: closed forms, no second route -----------------------------
+
+def test_tree_count_k12_is_factorial():
+    assert count_supported_trees(K(12)) == factorial(11)
+
+
+def test_chromatic_k12_is_falling_factorial():
+    falling = IntPoly.one()
+    for k in range(12):
+        falling = falling * IntPoly((-k, 1))
+    assert chromatic_poly_from_forests(K(12)) == falling
+
+
+def test_eta_c12():
+    c12 = Graph(12, [(i, i % 12 + 1) for i in range(1, 13)])
+    assert connected_subgraph_poly_from_trees(c12) == \
+        IntPoly.x_power(12) + IntPoly.x_power(11, 12)
+
+
+def test_csf_x_k10_is_shape_collapse():
+    assert csf_x_from_forests(K(10)) == collapse_by_shape(csf_y_from_forests(K(10)))
