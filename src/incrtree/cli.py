@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from pathlib import Path
 
 from .brokencircuits import (bcf_subforests, breaks_by_circuits,
                              spanning_subtrees)
@@ -27,8 +28,8 @@ from .invariants import (chromatic_poly_by_subsets,
                          connected_subgraph_poly_from_trees, csf_x_by_subsets,
                          csf_x_from_forests, csf_y_by_subsets,
                          csf_y_from_forests)
-from .skeleton import enumerate_fiber, fiber_edge_sets, skeleton
-from .trees import RootedForest, increasing_trees
+from .skeleton import enumerate_fiber, fiber_edge_sets, skeleton, skeleton_forest
+from .trees import increasing_trees
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -49,16 +50,12 @@ def _emit_json(obj):
 
 def _load_graph(path) -> Graph:
     try:
-        if path == "-":
-            text = sys.stdin.read()
-        else:
-            with open(path, "r", encoding="utf-8") as fh:
-                text = fh.read()
+        data = sys.stdin.buffer.read() if path == "-" else Path(path).read_bytes()
     except OSError as exc:
         raise CliError(EXIT_PARSE, f"cannot read {path}: {exc}")
     try:
-        return parse_graph(text)
-    except GraphFormatError as exc:
+        return parse_graph(data.decode("utf-8"))
+    except (UnicodeDecodeError, GraphFormatError) as exc:
         raise CliError(EXIT_PARSE, f"parse error: {exc}")
 
 
@@ -193,12 +190,6 @@ def cmd_fibers(args) -> int:
 
 # --- bcf -------------------------------------------------------------------------------
 
-def _forest_of(g: Graph) -> RootedForest:
-    return RootedForest(
-        skeleton(g.restrict(block)) for block in g.components()
-    )
-
-
 def cmd_bcf(args) -> int:
     g = _load_graph(args.graphfile)
     _require_connected(g)
@@ -210,17 +201,12 @@ def cmd_bcf(args) -> int:
                 "breaks": _edges_list(breaks_by_circuits(t, g)),
                 "skeleton": skeleton(t).to_json_obj(),
             })
-    elif args.q is None or args.q == 1:
-        for h in bcf_subforests(g, q=1):
-            records.append({
-                "edges": _edges_list(h.edges),
-                "skeleton": skeleton(h).to_json_obj(),
-            })
     else:
         for h in bcf_subforests(g, q=args.q):
+            forest = skeleton_forest(h)
             records.append({
                 "edges": _edges_list(h.edges),
-                "skeleton": _forest_of(h).to_json_obj(),
+                "skeleton": (forest.components[0] if args.q == 1 else forest).to_json_obj(),
             })
     if args.table:
         for r in records:
@@ -253,10 +239,7 @@ def cmd_selfcheck(args) -> int:
 # --- argument parsing ------------------------------------------------------------------------
 
 def _add_output_flags(sub):
-    fmt = sub.add_mutually_exclusive_group()
-    fmt.add_argument("--json", action="store_true", default=True,
-                     help="JSON output (default)")
-    fmt.add_argument("--table", action="store_true",
+    sub.add_argument("--table", action="store_true",
                      help="plain text output instead of JSON")
 
 
@@ -292,8 +275,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_bcf = sub.add_parser("bcf", help="broken circuit free subtrees")
     p_bcf.add_argument("graphfile")
-    p_bcf.add_argument("--q", type=int, default=None,
-                       help="list BCF subforests with q components instead")
+    p_bcf.add_argument("--q", type=int, default=1,
+                       help="list BCF subforests with q components (default 1)")
     p_bcf.add_argument("--breaks-all", action="store_true",
                        help="list every spanning subtree with its breaks")
     _add_output_flags(p_bcf)

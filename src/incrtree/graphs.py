@@ -300,7 +300,9 @@ def parse_graph(text: str) -> Graph:
 
     The first non-comment line is ``n <count>``; every further non-comment
     line is ``u v`` with 1 <= u < v <= n.  ``#`` starts a comment anywhere in
-    a line; blank lines are skipped; duplicate edges are an error.
+    a line; blank lines are skipped; duplicate edges are an error.  Outside
+    comments a line is ASCII, so the count and the endpoints match [0-9]+:
+    isdigit() alone would pass '²', and int() alone reads '٢', '+1', '1_0'.
     """
     n = None
     edges = []
@@ -309,6 +311,8 @@ def parse_graph(text: str) -> Graph:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
+        if not line.isascii():
+            raise GraphFormatError(f"line {lineno}: non-ASCII text in {raw.strip()!r}")
         parts = line.split()
         if n is None:
             if len(parts) != 2 or parts[0] != "n" or not parts[1].isdigit():
@@ -319,12 +323,9 @@ def parse_graph(text: str) -> Graph:
             if n < 1:
                 raise GraphFormatError(f"line {lineno}: vertex count must be >= 1")
             continue
-        if len(parts) != 2:
+        if len(parts) != 2 or not (parts[0].isdigit() and parts[1].isdigit()):
             raise GraphFormatError(f"line {lineno}: expected 'u v', got {raw.strip()!r}")
-        try:
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise GraphFormatError(f"line {lineno}: edge endpoints must be integers")
+        u, v = int(parts[0]), int(parts[1])
         if not 1 <= u < v <= n:
             raise GraphFormatError(f"line {lineno}: need 1 <= u < v <= {n}, got {u} {v}")
         if (u, v) in seen:

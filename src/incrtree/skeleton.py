@@ -3,8 +3,11 @@
 ``skeleton`` sends every connected graph on an ordered vertex set to an
 increasing tree: root at the minimum vertex, split the remaining vertices
 into connected components, attach each component at its minimum vertex, and
-repeat inside every component.  The skeleton is always supported by the
-graph but need not be one of its subgraphs.
+repeat inside every component.  That is the elimination tree of the
+reversed vertex order (J. W. H. Liu, SIAM J. Matrix Anal. Appl. 11, 1990),
+which one union-find pass over the edges builds in O(|E| log |V|).  The
+skeleton is always supported by the graph but need not be one of its
+subgraphs.
 
 The preimage (fiber) of a tree R among the connected spanning subgraphs of
 G has product structure: a subgraph collapses to R exactly when it is the
@@ -19,7 +22,7 @@ from __future__ import annotations
 import itertools
 
 from .graphs import Graph, NotConnectedError, SetPartition
-from .trees import RootedTree
+from .trees import RootedForest, RootedTree
 
 
 def depth_first_partition(g: Graph, root: int) -> SetPartition:
@@ -31,29 +34,42 @@ def depth_first_partition(g: Graph, root: int) -> SetPartition:
     return g.restrict(g.vertices - {root}).components()
 
 
+def skeleton_forest(g: Graph) -> RootedForest:
+    """The skeleton tree of every connected component of g.
+
+    Edges (v, w) arrive by descending v, so the components of G[>v] are
+    complete when v's edges arrive.  Union-find represents each by its
+    minimum r; r becomes a child of v and its component merges into v's.
+    """
+    rep = {v: v for v in g.vertices}
+    parent: dict[int, int] = {}
+    for v, r in sorted(g.edges, reverse=True):
+        while rep[r] != r:
+            rep[r] = rep[rep[r]]
+            r = rep[r]
+        if r != v:
+            parent[r] = v
+            rep[r] = v
+    # roots kept rep[r] == r; ascending, a parent is resolved before its child
+    trees: dict[int, dict[int, int]] = {v: {} for v in g.vertices if v not in parent}
+    for v in sorted(parent):
+        rep[v] = rep[parent[v]]
+        trees[rep[v]][v] = parent[v]
+    return RootedForest(RootedTree(r, ps) for r, ps in trees.items())
+
+
 def skeleton(g: Graph) -> RootedTree:
     """Collapse a connected graph to an increasing tree.
 
-    Uses an explicit work stack of vertex subsets rather than recursion, so
-    deep path-like graphs near the size bound cannot hit recursion limits.
+    This is the elimination tree of the reversed vertex order (Liu 1990):
+    the one tree of ``skeleton_forest(g)``, or NotConnectedError.
     """
     if not g.vertices:
         raise ValueError("need at least one vertex")
-    if not g.is_connected():
+    forest = skeleton_forest(g)
+    if forest.component_count() != 1:
         raise NotConnectedError("only connected graphs have a skeleton tree")
-    parent: dict[int, int] = {}
-    stack = [g.vertices]
-    while stack:
-        subset = stack.pop()
-        r = min(subset)
-        rest = subset - {r}
-        if not rest:
-            continue
-        for block in g.restrict(rest).components().blocks:
-            parent[min(block)] = r
-            if len(block) > 1:
-                stack.append(frozenset(block))
-    return RootedTree(min(g.vertices), parent)
+    return forest.components[0]
 
 
 def fiber_edge_sets(g: Graph, tree: RootedTree) -> dict[int, frozenset]:

@@ -1,4 +1,6 @@
+import io
 import json
+import sys
 
 import pytest
 
@@ -54,6 +56,37 @@ def test_parse_error_exit_code(graphfile, capsys):
 def test_missing_file_exit_code(capsys):
     code, _, err = run(capsys, "k", "/nonexistent/graph.txt")
     assert code == 2
+
+
+BAD_INPUTS = [
+    "n ²\n".encode(),
+    "n 2\n1 ٢\n".encode(),
+    b"n 10\n1 1_0\n",
+    b"n 3\n+1 3\n",
+    b"n 3\n1 2\n2 \xff3\n",     # not UTF-8
+]
+
+
+@pytest.mark.parametrize("data", BAD_INPUTS)
+def test_bad_input_file_exits_2(tmp_path, capsys, data):
+    path = tmp_path / "g.txt"
+    path.write_bytes(data)
+    code, out, err = run(capsys, "k", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("parse error") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("data", BAD_INPUTS)
+def test_bad_input_stdin_exits_2(monkeypatch, capsys, data):
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data)))
+    code, out, err = run(capsys, "k", "-")
+    assert (code, out) == (2, "")
+    assert err.startswith("parse error") and "Traceback" not in err
+
+
+def test_k_reads_stdin(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(K3.encode())))
+    assert run(capsys, "k", "-") == (0, '{"root":1,"parent":{"2":1,"3":2}}\n', "")
 
 
 # --- invariants --------------------------------------------------------------------

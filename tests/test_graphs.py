@@ -229,6 +229,20 @@ def test_parse_errors(text):
         parse_graph(text)
 
 
+@pytest.mark.parametrize("text", [
+    "n ²\n",                  # superscript digit passes str.isdigit
+    "n ３\n",                 # fullwidth digit
+    "n 2\n1 ٢\n",            # Arabic-Indic digit that int() reads as 2
+    "n 10\n1 1_0\n",         # underscore that int() skips
+    "n 3\n+1 3\n",           # sign that int() accepts
+    "n 3\n-1 3\n",
+    "n 3\n1\u00a02\n",       # no-break space that str.split() splits on
+])
+def test_parse_accepts_only_ascii_numerals(text):
+    with pytest.raises(GraphFormatError):
+        parse_graph(text)
+
+
 def test_format_requires_contiguous_labels():
     with pytest.raises(ValueError):
         format_graph(Graph({2, 3}, [(2, 3)]))

@@ -1,12 +1,13 @@
 import itertools
+import random
 
 import pytest
 
 from incrtree.graphs import Graph, NotConnectedError, SetPartition, connected_graphs
 from incrtree.skeleton import (attachments_cover, depth_first_partition,
                                enumerate_fiber, fiber_edge_sets, fiber_size,
-                               skeleton, splits_match)
-from incrtree.trees import RootedTree, increasing_trees
+                               skeleton, skeleton_forest, splits_match)
+from incrtree.trees import RootedForest, RootedTree, increasing_trees
 
 
 def K(n):
@@ -114,6 +115,71 @@ def test_skeleton_of_restriction_uses_original_ids():
     t = skeleton(g.restrict({2, 4, 5}))
     assert t.root == 2
     assert t.vertices == {2, 4, 5}
+
+
+def random_sparse_graph(n, extra, rng, connected=True):
+    """A random tree (or forest) on 1..n plus extra edges, labels shuffled."""
+    label = list(range(1, n + 1))
+    rng.shuffle(label)
+    edges = set()
+    for i in range(1, n):
+        if connected or rng.random() < 0.8:
+            edges.add((i, rng.randrange(i)))
+    while extra:
+        u, v = rng.sample(range(n), 2)
+        extra -= (u, v) not in edges and (v, u) not in edges
+        edges.add((u, v))
+    return Graph(n, ((label[u], label[v]) for u, v in edges))
+
+
+def test_skeleton_matches_reference_on_sparse_random_graphs():
+    rng = random.Random(2005)
+    for _ in range(60):
+        n = rng.randint(20, 80)
+        g = random_sparse_graph(n, rng.randint(0, n // 2), rng)
+        assert skeleton(g) == skeleton_reference(g)
+
+
+def test_skeleton_matches_reference_on_families():
+    for n in (1, 2, 7, 60):
+        natural = Graph(n, [(i, i + 1) for i in range(1, n)])
+        reversed_labels = Graph(n, [(n + 1 - i, n - i) for i in range(1, n)])
+        for g in (natural, reversed_labels, Graph(n, [(1, v) for v in range(2, n + 1)]),
+                  Graph(n, [(v, n) for v in range(1, n)]), K(min(n, 12))):
+            assert skeleton(g) == skeleton_reference(g)
+
+
+def test_skeleton_forest_matches_per_component_skeletons():
+    rng = random.Random(1990)
+    for _ in range(60):
+        n = rng.randint(5, 40)
+        g = random_sparse_graph(n, rng.randint(0, 3), rng, connected=False)
+        expected = RootedForest(skeleton(g.restrict(b)) for b in g.components())
+        forest = skeleton_forest(g)
+        assert forest == expected
+        assert forest.to_json_obj() == expected.to_json_obj()
+    assert skeleton_forest(Graph(1)) == RootedForest([RootedTree(1)])
+    assert skeleton_forest(Graph(())) == RootedForest(())
+
+
+def test_skeleton_rejects_isolated_vertex_and_two_components():
+    for g in (Graph(4, [(1, 2), (2, 3)]), Graph(4, [(1, 2), (3, 4)]),
+              Graph(6, [(1, 3), (2, 5), (4, 6), (3, 5)])):
+        with pytest.raises(NotConnectedError):
+            skeleton(g)
+
+
+def test_skeleton_does_not_restrict_or_split(monkeypatch):
+    """One pass over the edges: no per-vertex restrict-and-split route."""
+    n = 2000
+    g = Graph(n, [(i, i + 1) for i in range(1, n)])
+
+    def refuse(*_):
+        raise AssertionError("skeleton must not restrict or split the graph")
+
+    monkeypatch.setattr(Graph, "restrict", refuse)
+    monkeypatch.setattr(Graph, "components", refuse)
+    assert skeleton(g) == RootedTree(1, {v: v - 1 for v in range(2, n + 1)})
 
 
 # --- fibers ----------------------------------------------------------------------------
