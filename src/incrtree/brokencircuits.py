@@ -100,36 +100,39 @@ def breaks_by_skeleton(t: Graph, g: Graph) -> frozenset:
 def is_broken_circuit_free(h: Graph, g: Graph) -> bool:
     """True iff the spanning subgraph h contains no broken circuit of g.
 
-    Checked without enumerating subsets: h must be a forest, and no edge of
-    g outside h whose endpoints h already connects may be smaller than every
-    edge on the h-path between them (such an edge would close a circuit in
-    which it is minimal, and the path would be a broken circuit inside h).
-    A subgraph containing a circuit always fails.
+    h holds a broken circuit exactly when some edge e of g has its endpoints
+    joined by a path of h-edges all larger than e: e closes a circuit in
+    which it is minimal, and the path is the broken circuit.  One union-find
+    pass over g's edges from the largest down tests every e against the
+    h-edges above it; an e inside h closing such a path makes h contain a
+    circuit, so a BCF subgraph is always a forest.
     """
     if h.vertices != g.vertices or not h.edges <= g.edges:
         raise ValueError("expected a spanning subgraph of the host graph")
-    comp = h.components()
-    if len(h.edges) != len(h.vertices) - len(comp):
-        return False
-    block_of = {}
-    for i, b in enumerate(comp.blocks):
-        for v in b:
-            block_of[v] = i
-    for e in g.edges - h.edges:
-        u, v = e
-        if block_of[u] != block_of[v]:
-            continue
-        if all(e < pe for pe in _path_edges(h, u, v)):
+    rep = {v: v for v in g.vertices}
+    for e in sorted(g.edges, reverse=True):
+        u, v = (_find(rep, w) for w in e)
+        if u == v:
             return False
+        if e in h.edges:
+            rep[u] = v
     return True
 
 
-def min_attachment_tree(tree: RootedTree, g: Graph, strict: bool = False):
+def _find(rep: dict, v: int) -> int:
+    """Union-find root of v, halving the path on the way."""
+    while rep[v] != v:
+        rep[v] = rep[rep[v]]
+        v = rep[v]
+    return v
+
+
+def min_attachment_tree(tree: RootedTree, g: Graph):
     """The spanning subtree of g picking the smallest available attachment
     edge below every vertex of an increasing supported tree.
 
     The result is broken circuit free and collapses back to the input tree.
-    For an unsupported tree this returns None, or raises with strict=True.
+    For an unsupported tree this returns None.
     """
     if g.vertices != tree.vertices:
         raise ValueError("tree and graph have different vertex sets")
@@ -139,8 +142,6 @@ def min_attachment_tree(tree: RootedTree, g: Graph, strict: bool = False):
     for v in sorted(tree.parent):
         available = tree.attachment_edges(v) & g.edges
         if not available:
-            if strict:
-                raise ValueError("tree is not supported by the graph")
             return None
         chosen.append(min(available))
     return g.spanning(chosen)
@@ -162,16 +163,19 @@ def _subsets_lex(seq):
             yield (seq[i],) + tail
 
 
-def bcf_subforests(g: Graph, q: int | None = None, max_n: int | None = None):
+def bcf_subforests(g: Graph, q: int | None = None):
     """Stream the broken-circuit-free spanning subforests of g.
 
     Order is lexicographic on sorted edge lists; q filters by component
-    count (q=1 gives the BCF spanning subtrees of a connected graph).
+    count (q=1 gives the BCF spanning subtrees of a connected graph).  A BCF
+    subgraph is a forest, so it has q components exactly when it has n - q
+    edges.
     """
-    check_limit(len(g.vertices), max_n)
+    n = len(g.vertices)
+    check_limit(n)
     for subset in _subsets_lex(g.sorted_edges()):
-        h = g.spanning(subset)
-        if q is not None and len(h.components()) != q:
+        if q is not None and len(subset) != n - q:
             continue
+        h = g.spanning(subset)
         if is_broken_circuit_free(h, g):
             yield h

@@ -243,18 +243,17 @@ def _edge_subsets(g):
         yield [es[i] for i in range(len(es)) if mask >> i & 1]
 
 
-def graphs_to_check(n: int, seed: int, sample_size: int = SAMPLE_SIZE):
+def graphs_to_check(n: int, seed: int):
     """Exhaustive below six vertices, a seeded random sample at six."""
     if n <= 5:
         yield from connected_graphs(n)
     else:
         rng = random.Random(seed + n)
-        for _ in range(sample_size):
+        for _ in range(SAMPLE_SIZE):
             yield random_connected_graph(n, rng)
 
 
-def run_selfcheck(max_n: int, seed: int = DEFAULT_SEED,
-                  sample_size: int = SAMPLE_SIZE, report=print) -> bool:
+def run_selfcheck(max_n: int, seed: int = DEFAULT_SEED, report=print) -> bool:
     """Run every property on every checked graph up to max_n vertices.
 
     Reports one line per size plus a final summary.  On the first failure,
@@ -274,7 +273,7 @@ def run_selfcheck(max_n: int, seed: int = DEFAULT_SEED,
                 return False
             total_checks += 1
         graphs = 0
-        for g in graphs_to_check(n, seed, sample_size):
+        for g in graphs_to_check(n, seed):
             graphs += 1
             for name, limit, fn in PER_GRAPH_CHECKS:
                 if n > limit:

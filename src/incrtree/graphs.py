@@ -14,8 +14,11 @@ from __future__ import annotations
 import itertools
 
 # Exhaustive enumerations refuse vertex sets larger than this instead of
-# silently running forever.  Callers may pass their own ceiling.
+# silently running forever.
 EXHAUSTIVE_LIMIT = 16
+
+# parse_graph refuses larger vertex counts before building the vertex set.
+MAX_VERTICES = 1_000_000
 
 
 class GraphFormatError(ValueError):
@@ -30,11 +33,10 @@ class BoundExceededError(ValueError):
     """An exhaustive enumeration would exceed the configured size bound."""
 
 
-def check_limit(n: int, max_n: int | None = None) -> None:
-    limit = EXHAUSTIVE_LIMIT if max_n is None else max_n
-    if n > limit:
+def check_limit(n: int) -> None:
+    if n > EXHAUSTIVE_LIMIT:
         raise BoundExceededError(
-            f"{n} vertices exceeds the exhaustive enumeration bound of {limit}"
+            f"{n} vertices exceeds the exhaustive enumeration bound of {EXHAUSTIVE_LIMIT}"
         )
 
 
@@ -189,12 +191,6 @@ class SetPartition:
     def __iter__(self):
         return iter(self.blocks)
 
-    def block_containing(self, v: int) -> tuple[int, ...]:
-        for b in self.blocks:
-            if v in b:
-                return b
-        raise ValueError(f"vertex {v} is not in the ground set")
-
     def refines(self, other: "SetPartition") -> bool:
         """True iff every block here lies inside a single block of other."""
         if self.ground != other.ground:
@@ -235,14 +231,14 @@ class SetPartition:
         return f"SetPartition({[list(b) for b in self.blocks]})"
 
 
-def set_partitions_of(vertices, max_n: int | None = None):
+def set_partitions_of(vertices):
     """Yield every set partition of the given vertices, deterministically.
 
     Order: elements are placed in ascending order; each element first joins
     the existing blocks in creation order, then opens a new block.
     """
     vs = sorted(set(vertices))
-    check_limit(len(vs), max_n)
+    check_limit(len(vs))
     if not vs:
         yield SetPartition(())
         return
@@ -265,17 +261,17 @@ def set_partitions_of(vertices, max_n: int | None = None):
     yield from place(0)
 
 
-def all_graphs(n: int, max_n: int | None = None):
+def all_graphs(n: int):
     """Every labeled graph on vertices 1..n, by ascending edge-subset mask."""
-    check_limit(n, max_n)
+    check_limit(n)
     pairs = list(itertools.combinations(range(1, n + 1), 2))
     for mask in range(1 << len(pairs)):
         yield Graph(n, (pairs[i] for i in range(len(pairs)) if mask >> i & 1))
 
 
-def connected_graphs(n: int, max_n: int | None = None):
+def connected_graphs(n: int):
     """Every connected labeled graph on vertices 1..n, in all_graphs order."""
-    for g in all_graphs(n, max_n):
+    for g in all_graphs(n):
         if g.is_connected():
             yield g
 
@@ -303,11 +299,14 @@ def parse_graph(text: str) -> Graph:
     a line; blank lines are skipped; duplicate edges are an error.  Outside
     comments a line is ASCII, so the count and the endpoints match [0-9]+:
     isdigit() alone would pass '²', and int() alone reads '٢', '+1', '1_0'.
+    Lines end at '\n' only (a trailing '\r' is stripped): splitlines() would
+    also break at U+2028, U+0085 and other separators the ASCII rule refuses.
+    The count runs from 1 to MAX_VERTICES.
     """
     n = None
     edges = []
     seen = set()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -319,13 +318,15 @@ def parse_graph(text: str) -> Graph:
                 raise GraphFormatError(
                     f"line {lineno}: expected 'n <count>', got {raw.strip()!r}"
                 )
-            n = int(parts[1])
-            if n < 1:
-                raise GraphFormatError(f"line {lineno}: vertex count must be >= 1")
+            n = _numeral(parts[1], lineno)
+            if not 1 <= n <= MAX_VERTICES:
+                raise GraphFormatError(
+                    f"line {lineno}: vertex count must be 1 to {MAX_VERTICES}"
+                )
             continue
         if len(parts) != 2 or not (parts[0].isdigit() and parts[1].isdigit()):
             raise GraphFormatError(f"line {lineno}: expected 'u v', got {raw.strip()!r}")
-        u, v = int(parts[0]), int(parts[1])
+        u, v = _numeral(parts[0], lineno), _numeral(parts[1], lineno)
         if not 1 <= u < v <= n:
             raise GraphFormatError(f"line {lineno}: need 1 <= u < v <= {n}, got {u} {v}")
         if (u, v) in seen:
@@ -335,6 +336,15 @@ def parse_graph(text: str) -> Graph:
     if n is None:
         raise GraphFormatError("missing 'n <count>' header line")
     return Graph(n, edges)
+
+
+def _numeral(digits: str, lineno: int) -> int:
+    """int() of an ASCII digit string, whose length int() limits (4300 digits
+    by default since Python 3.11)."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise GraphFormatError(f"line {lineno}: {len(digits)}-digit number") from None
 
 
 def format_graph(g: Graph) -> str:

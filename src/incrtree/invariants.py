@@ -173,7 +173,7 @@ def _scan_components(n: int, es, visit):
 # connected-subgraph polynomial
 
 
-def connected_subgraph_poly(g: Graph, max_n: int | None = None) -> IntPoly:
+def connected_subgraph_poly(g: Graph) -> IntPoly:
     """Edge-count generating polynomial of the connected spanning subgraphs.
 
     Exhaustive defining sum: one t^k term per connected spanning subgraph
@@ -181,7 +181,7 @@ def connected_subgraph_poly(g: Graph, max_n: int | None = None) -> IntPoly:
     """
     if not g.is_connected():
         raise NotConnectedError("the connected-subgraph polynomial needs a connected graph")
-    check_limit(len(g.vertices), max_n)
+    check_limit(len(g.vertices))
     vs, es = _positions(g)
     n = len(vs)
     counts = [0] * (len(es) + 1)
@@ -194,7 +194,7 @@ def connected_subgraph_poly(g: Graph, max_n: int | None = None) -> IntPoly:
     return IntPoly(counts)
 
 
-def connected_subgraph_poly_from_trees(g: Graph, max_n: int | None = None) -> IntPoly:
+def connected_subgraph_poly_from_trees(g: Graph) -> IntPoly:
     """Same polynomial assembled from increasing supported trees.
 
     Each supported tree contributes the product over its non-root vertices
@@ -208,20 +208,20 @@ def connected_subgraph_poly_from_trees(g: Graph, max_n: int | None = None) -> In
         raise NotConnectedError("the connected-subgraph polynomial needs a connected graph")
     one = IntPoly.one()
     one_plus_t = IntPoly((1, 1))
-    return supported_tree_sums(g, lambda c: one_plus_t ** c - one, one, max_n)[-1]
+    return supported_tree_sums(g, lambda c: one_plus_t ** c - one, one)[-1]
 
 
 # ---------------------------------------------------------------------------
 # chromatic polynomial
 
 
-def chromatic_poly_by_subsets(g: Graph, max_n: int | None = None) -> IntPoly:
+def chromatic_poly_by_subsets(g: Graph) -> IntPoly:
     """Chromatic polynomial via the signed spanning-subgraph expansion.
 
     Every edge subset contributes (-1)^edges x^components.  Works for
     disconnected graphs; cost grows as 2^edges.
     """
-    check_limit(len(g.vertices), max_n)
+    check_limit(len(g.vertices))
     vs, es = _positions(g)
     n = len(vs)
     coeffs = [0] * (n + 1)
@@ -330,10 +330,10 @@ def csf_y_from_forests(g: Graph) -> dict[SetPartition, int]:
     return out
 
 
-def csf_y_by_subsets(g: Graph, max_n: int | None = None) -> dict[SetPartition, int]:
+def csf_y_by_subsets(g: Graph) -> dict[SetPartition, int]:
     """Oracle route: signed sum over all edge subsets grouped by component
     partition.  Cost grows as 2^edges."""
-    check_limit(len(g.vertices), max_n)
+    check_limit(len(g.vertices))
     vs, es = _positions(g)
     n = len(vs)
     acc: dict[tuple, int] = {}
@@ -371,5 +371,5 @@ def collapse_by_shape(terms: dict[SetPartition, int]) -> dict[tuple[int, ...], i
     return {shape: c for shape, c in out.items() if c}
 
 
-def csf_x_by_subsets(g: Graph, max_n: int | None = None) -> dict[tuple[int, ...], int]:
-    return collapse_by_shape(csf_y_by_subsets(g, max_n))
+def csf_x_by_subsets(g: Graph) -> dict[tuple[int, ...], int]:
+    return collapse_by_shape(csf_y_by_subsets(g))

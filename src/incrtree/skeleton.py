@@ -84,38 +84,33 @@ def fiber_edge_sets(g: Graph, tree: RootedTree) -> dict[int, frozenset]:
     return {v: tree.attachment_edges(v) & g.edges for v in sorted(tree.parent)}
 
 
-def fiber_size(g: Graph, tree: RootedTree, strict: bool = False) -> int:
+def fiber_size(g: Graph, tree: RootedTree) -> int:
     """Number of connected spanning subgraphs of g collapsing to the tree.
 
     Equals the product over non-root vertices of (2^choices - 1), which is 0
     whenever some vertex has no attachment edge in g (the tree is not
-    supported).  With strict=True that case raises instead.
+    supported).
     """
-    sizes = [len(es) for es in fiber_edge_sets(g, tree).values()]
-    if strict and not all(sizes):
-        raise ValueError("tree is not supported by the graph")
     out = 1
-    for c in sizes:
-        out *= (1 << c) - 1
+    for es in fiber_edge_sets(g, tree).values():
+        out *= (1 << len(es)) - 1
     return out
 
 
-def enumerate_fiber(g: Graph, tree: RootedTree, strict: bool = False):
+def enumerate_fiber(g: Graph, tree: RootedTree):
     """Stream every connected spanning subgraph of g that collapses to tree.
 
     Each member is built by choosing one nonempty subset of each vertex's
     available attachment edges.  Per vertex the nonempty subsets run in
     binary-counter order over the lexicographically sorted edges; choices
     combine in vertex order with the largest vertex advancing fastest.  An
-    unsupported tree yields an empty stream (or raises with strict=True).
+    unsupported tree yields an empty stream.
     """
     available = fiber_edge_sets(g, tree)
     pools = []
     for v in sorted(available):
         edges_sorted = sorted(available[v])
         if not edges_sorted:
-            if strict:
-                raise ValueError("tree is not supported by the graph")
             return iter(())
         k = len(edges_sorted)
         pools.append([

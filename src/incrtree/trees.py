@@ -67,12 +67,6 @@ class RootedTree:
     def vertices(self) -> frozenset[int]:
         return self._vertices
 
-    def children_of(self, v: int) -> tuple[int, ...]:
-        try:
-            return tuple(self._children[v])
-        except KeyError:
-            raise ValueError(f"unknown vertex {v}")
-
     def descendants(self, v: int) -> frozenset[int]:
         """The set of descendants of v, including v itself."""
         if v not in self._vertices:
@@ -189,9 +183,6 @@ class RootedForest:
     def edges(self) -> frozenset[tuple[int, int]]:
         return frozenset(e for t in self.components for e in t.edges)
 
-    def as_graph(self) -> Graph:
-        return Graph(self.ground, self.edges)
-
     def to_json_obj(self) -> list:
         return [t.to_json_obj() for t in self.components]
 
@@ -207,7 +198,7 @@ class RootedForest:
         return f"RootedForest({list(self.components)})"
 
 
-def increasing_trees(vertices, max_n: int | None = None):
+def increasing_trees(vertices):
     """Stream every increasing tree on the given vertices exactly once.
 
     Each non-minimum vertex chooses a parent among the smaller vertices;
@@ -217,7 +208,7 @@ def increasing_trees(vertices, max_n: int | None = None):
     vs = sorted(set(vertices))
     if not vs:
         raise ValueError("need at least one vertex")
-    check_limit(len(vs), max_n)
+    check_limit(len(vs))
     if len(vs) == 1:
         yield RootedTree(vs[0])
         return
@@ -235,7 +226,7 @@ def submasks(mask: int):
         sub = (sub - 1) & mask
 
 
-def supported_tree_sums(g: Graph, weight, one, max_n: int | None = None) -> list:
+def supported_tree_sums(g: Graph, weight, one) -> list:
     """Weighted sums over supported increasing trees, for every vertex subset.
 
     Bit i of a mask stands for the i-th smallest vertex of g.  Entry S is
@@ -252,7 +243,7 @@ def supported_tree_sums(g: Graph, weight, one, max_n: int | None = None) -> list
     """
     vs = sorted(g.vertices)
     n = len(vs)
-    check_limit(n, max_n)
+    check_limit(n)
     pos = {v: i for i, v in enumerate(vs)}
     adj = [0] * n
     for u, v in g.edges:
@@ -316,8 +307,7 @@ def supported_partitions(sums, vertices, mask: int, head: tuple = ()):
             yield from supported_partitions(sums, vertices, mask ^ block, head + (block,))
 
 
-def supported_increasing_forests(g: Graph, q: int | None = None,
-                                 max_n: int | None = None):
+def supported_increasing_forests(g: Graph, q: int | None = None):
     """Stream the increasing forests whose components are supported by g.
 
     A forest qualifies when, for every component, the restriction of g to
@@ -326,7 +316,7 @@ def supported_increasing_forests(g: Graph, q: int | None = None,
     order of the underlying partition, then per-block tree enumeration
     order, the last block advancing fastest.
     """
-    sums = supported_tree_sums(g, lambda c: 1, 1, max_n)
+    sums = supported_tree_sums(g, lambda c: 1, 1)
     vertices = mask_vertices(sorted(g.vertices))
     for blocks in supported_partitions(sums, vertices, len(vertices) - 1):
         if q is not None and len(blocks) != q:

@@ -1,10 +1,17 @@
+import contextlib
 import io
+import itertools
 import json
 import sys
+import tempfile
+from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from incrtree.cli import main
+from incrtree.graphs import MAX_VERTICES, Graph, format_graph
 
 K3 = "n 3\n1 2\n1 3\n2 3\n"
 K4 = "n 4\n1 2\n1 3\n1 4\n2 3\n2 4\n3 4\n"
@@ -58,12 +65,20 @@ def test_missing_file_exit_code(capsys):
     assert code == 2
 
 
+LONG_COUNT = b"n " + b"1" * 4301 + b"\n"   # more digits than int() reads
+LINE_SEPARATOR = "n 3\u20281 2\u20282 3\n".encode()
+
 BAD_INPUTS = [
     "n ²\n".encode(),
     "n 2\n1 ٢\n".encode(),
     b"n 10\n1 1_0\n",
     b"n 3\n+1 3\n",
     b"n 3\n1 2\n2 \xff3\n",     # not UTF-8
+    pytest.param(LINE_SEPARATOR, id="U+2028-line-separator"),
+    pytest.param("n 3\x851 2\x852 3\n".encode(), id="U+0085-next-line"),
+    pytest.param(LONG_COUNT, id="4301-digit-count"),
+    pytest.param(b"n 3\n1 " + b"2" * 4301 + b"\n", id="4301-digit-endpoint"),
+    pytest.param(f"n {MAX_VERTICES + 1}\n".encode(), id="count-above-MAX_VERTICES"),
 ]
 
 
@@ -87,6 +102,71 @@ def test_bad_input_stdin_exits_2(monkeypatch, capsys, data):
 def test_k_reads_stdin(monkeypatch, capsys):
     monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(K3.encode())))
     assert run(capsys, "k", "-") == (0, '{"root":1,"parent":{"2":1,"3":2}}\n', "")
+
+
+# --- the exit-code contract ------------------------------------------------------------
+
+# a mutation can grow the count by a few digits, never past a few thousand
+MUTATION_CHARS = "0123456789 n#-+x\n\r\t\u2028\x85\u00b2\u0662"
+
+COMMANDS = [  # None stands for the graph file or "-"
+    ["k", None],
+    ["invariants", "eta", None],
+    ["invariants", "chromatic", None, "--method", "trees"],
+    ["invariants", "csf-y", None],
+    ["fibers", None],
+    ["bcf", None],
+    ["bcf", None, "--q", "2"],
+]
+
+
+@st.composite
+def graph_texts(draw):
+    """The text of a graph on at most five vertices, then up to three
+    single-character insertions, deletions or replacements."""
+    n = draw(st.integers(1, 5))
+    pairs = list(itertools.combinations(range(1, n + 1), 2))
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    text = format_graph(Graph(n, edges))
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(text)))
+        put = draw(st.sampled_from(["", *MUTATION_CHARS]))
+        cut = draw(st.sampled_from([0, 1]))  # cut 1: delete or replace text[i]
+        text = text[:i] + put + text[i + cut:]
+    return text.encode()
+
+
+def run_contained(argv, data, via_stdin):
+    """main() on the given input bytes, from stdin or a file; returns the
+    exit code and what it printed."""
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        path = Path(tmp) / "g.txt"
+        path.write_bytes(data)
+        source = "-" if via_stdin else str(path)
+        stdin = io.TextIOWrapper(io.BytesIO(data))
+        with mock.patch.object(sys, "stdin", stdin):
+            code = main([source if a is None else a for a in argv])
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(deadline=None)
+@given(argv=st.sampled_from(COMMANDS),
+       data=st.one_of(graph_texts(), st.binary(max_size=64)),
+       via_stdin=st.booleans())
+@example(argv=["k", None], data=LONG_COUNT, via_stdin=False)
+@example(argv=["k", None], data=LONG_COUNT, via_stdin=True)
+@example(argv=["k", None], data=LINE_SEPARATOR, via_stdin=False)
+@example(argv=["k", None], data=LINE_SEPARATOR, via_stdin=True)
+def test_cli_exit_code_contract(argv, data, via_stdin):
+    code, out, err = run_contained(argv, data, via_stdin)
+    assert code in (0, 2, 3, 4)
+    assert "Traceback" not in err
+    if code == 0:
+        json.loads(out)
+    else:
+        assert not out
 
 
 # --- invariants --------------------------------------------------------------------

@@ -1,7 +1,9 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from incrtree.graphs import (BoundExceededError, Graph, GraphFormatError,
+from incrtree import graphs
+from incrtree.graphs import (EXHAUSTIVE_LIMIT, MAX_VERTICES, BoundExceededError,
+                             Graph, GraphFormatError,
                              SetPartition, all_graphs, connected_graphs,
                              edge, format_graph, link, parse_graph,
                              set_partitions_of)
@@ -186,7 +188,7 @@ def test_graph_family_counts():
 
 def test_limit_refusal():
     with pytest.raises(BoundExceededError):
-        list(all_graphs(5, max_n=4))
+        list(all_graphs(EXHAUSTIVE_LIMIT + 1))
     with pytest.raises(BoundExceededError):
         list(set_partitions_of(range(1, 20)))
 
@@ -241,6 +243,39 @@ def test_parse_errors(text):
 def test_parse_accepts_only_ascii_numerals(text):
     with pytest.raises(GraphFormatError):
         parse_graph(text)
+
+
+@pytest.mark.parametrize("sep", [
+    "\u2028", "\u2029", "\x85",          # Unicode line and paragraph separators
+    "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e",  # ASCII, no line end either
+])
+def test_parse_breaks_lines_at_newline_only(sep):
+    with pytest.raises(GraphFormatError):
+        parse_graph(f"n 3{sep}1 2{sep}2 3\n")
+
+
+def test_parse_strips_carriage_returns():
+    assert parse_graph("n 3\r\n1 2\r\n2 3\r\n") == Graph(3, [(1, 2), (2, 3)])
+
+
+@pytest.mark.parametrize("text", [
+    pytest.param("n " + "1" * 4301 + "\n", id="4301-digit-count"),
+    pytest.param("n 3\n1 " + "2" * 4301 + "\n", id="4301-digit-endpoint"),
+])
+def test_parse_refuses_numbers_int_cannot_read(text):
+    with pytest.raises(GraphFormatError):
+        parse_graph(text)
+
+
+def test_parse_refuses_large_count_before_building(monkeypatch):
+    built = []
+    monkeypatch.setattr(graphs, "Graph", lambda n, edges: built.append(n))
+    parse_graph(f"n {MAX_VERTICES}\n")
+    with pytest.raises(GraphFormatError):
+        parse_graph(f"n {MAX_VERTICES + 1}\n")
+    with pytest.raises(GraphFormatError):
+        parse_graph("n 100000000\n")
+    assert built == [MAX_VERTICES]
 
 
 def test_format_requires_contiguous_labels():

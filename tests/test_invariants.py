@@ -3,11 +3,13 @@ from math import factorial
 
 import pytest
 
+from incrtree.brokencircuits import bcf_subforests
 from incrtree.checks import check_eta_definition
 
-from incrtree.graphs import (BoundExceededError, Graph, NotConnectedError,
-                             SetPartition, all_graphs, connected_graphs,
-                             random_connected_graph)
+from incrtree.graphs import (EXHAUSTIVE_LIMIT, BoundExceededError, Graph,
+                             NotConnectedError, SetPartition, all_graphs,
+                             connected_graphs, random_connected_graph,
+                             set_partitions_of)
 from incrtree.invariants import (IntPoly, chromatic_poly_by_deletion_contraction,
                                  chromatic_poly_by_subsets,
                                  chromatic_poly_from_forests, collapse_by_shape,
@@ -16,7 +18,8 @@ from incrtree.invariants import (IntPoly, chromatic_poly_by_deletion_contraction
                                  csf_x_by_subsets, csf_x_from_forests,
                                  csf_y_by_subsets, csf_y_from_forests,
                                  supported_forest_counts)
-from incrtree.trees import count_supported_trees
+from incrtree.trees import (count_supported_trees, increasing_trees,
+                            supported_increasing_forests, supported_tree_sums)
 
 
 def K(n):
@@ -72,7 +75,7 @@ def test_connected_subgraph_poly_requires_connected():
 
 def test_connected_subgraph_poly_respects_limit():
     with pytest.raises(BoundExceededError):
-        connected_subgraph_poly(K(5), max_n=4)
+        connected_subgraph_poly(K(EXHAUSTIVE_LIMIT + 1))
 
 
 def test_subset_oracles_respect_limit():
@@ -84,9 +87,20 @@ def test_subset_oracles_respect_limit():
 
 
 def test_forest_routes_respect_limit():
-    big = Graph(17)
+    """Every exhaustive route refuses one vertex past EXHAUSTIVE_LIMIT."""
+    n = EXHAUSTIVE_LIMIT + 1
+    big = Graph(n, [(v, v + 1) for v in range(1, n)])  # connected, for eta
     for route in (chromatic_poly_from_forests, supported_forest_counts,
-                  csf_x_from_forests, csf_y_from_forests):
+                  csf_x_from_forests, csf_y_from_forests,
+                  lambda g: list(set_partitions_of(g.vertices)),
+                  lambda g: list(all_graphs(g.n)),
+                  lambda g: list(connected_graphs(g.n)),
+                  lambda g: list(increasing_trees(g.vertices)),
+                  lambda g: supported_tree_sums(g, lambda c: 1, 1),
+                  lambda g: list(supported_increasing_forests(g)),
+                  connected_subgraph_poly, connected_subgraph_poly_from_trees,
+                  chromatic_poly_by_subsets, csf_y_by_subsets, csf_x_by_subsets,
+                  lambda g: list(bcf_subforests(g))):
         with pytest.raises(BoundExceededError):
             route(big)
 

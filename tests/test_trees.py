@@ -4,7 +4,7 @@ from math import factorial
 import pytest
 from hypothesis import given, strategies as st
 
-from incrtree.graphs import BoundExceededError, Graph
+from incrtree.graphs import EXHAUSTIVE_LIMIT, BoundExceededError, Graph
 from incrtree.trees import (RootedForest, RootedTree, count_supported_trees,
                             increasing_trees, supported_increasing_forests)
 
@@ -185,7 +185,7 @@ def test_increasing_trees_on_sparse_labels():
 
 def test_increasing_trees_respects_limit():
     with pytest.raises(BoundExceededError):
-        list(increasing_trees(range(1, 6), max_n=4))
+        list(increasing_trees(range(1, EXHAUSTIVE_LIMIT + 2)))
 
 
 def test_count_supported_trees_matches_filtering():
