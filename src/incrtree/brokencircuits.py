@@ -169,13 +169,16 @@ def bcf_subforests(g: Graph, q: int | None = None):
     Order is lexicographic on sorted edge lists; q filters by component
     count (q=1 gives the BCF spanning subtrees of a connected graph).  A BCF
     subgraph is a forest, so it has q components exactly when it has n - q
-    edges.
+    edges; combinations() walks just those, in the same order.
     """
     n = len(g.vertices)
     check_limit(n)
-    for subset in _subsets_lex(g.sorted_edges()):
-        if q is not None and len(subset) != n - q:
-            continue
+    es = g.sorted_edges()
+    if q is None:
+        subsets = _subsets_lex(es)
+    else:  # no forest has more components than vertices
+        subsets = itertools.combinations(es, n - q) if q <= n else ()
+    for subset in subsets:
         h = g.spanning(subset)
         if is_broken_circuit_free(h, g):
             yield h

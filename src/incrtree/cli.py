@@ -60,10 +60,14 @@ def _load_graph(path) -> Graph:
 
 
 def _require_connected(g: Graph):
-    if not g.is_connected():
+    blocks = g.components().blocks
+    if len(blocks) > 1:
+        # ten components of at most ten vertices each keep the message short
+        shown = [" ".join(map(str, b[:10])) + (" ..." if len(b) > 10 else "")
+                 for b in blocks[:10]] + (["..."] if len(blocks) > 10 else [])
         raise CliError(
             EXIT_DISCONNECTED,
-            f"graph is not connected (components: {g.components().render()})",
+            f"graph is not connected ({len(blocks)} components: {' | '.join(shown)})",
         )
 
 

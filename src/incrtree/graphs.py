@@ -292,7 +292,7 @@ def random_connected_graph(n: int, rng) -> Graph:
 
 
 def parse_graph(text: str) -> Graph:
-    """Parse the graph text format.
+    r"""Parse the graph text format.
 
     The first non-comment line is ``n <count>``; every further non-comment
     line is ``u v`` with 1 <= u < v <= n.  ``#`` starts a comment anywhere in
@@ -301,24 +301,31 @@ def parse_graph(text: str) -> Graph:
     isdigit() alone would pass '²', and int() alone reads '٢', '+1', '1_0'.
     Lines end at '\n' only (a trailing '\r' is stripped): splitlines() would
     also break at U+2028, U+0085 and other separators the ASCII rule refuses.
-    The count runs from 1 to MAX_VERTICES.
+    Fields are separated by spaces and tabs; other control characters, which
+    split() and strip() also take for blanks, are errors.  The count runs
+    from 1 to MAX_VERTICES.
     """
     n = None
-    edges = []
     seen = set()
     for lineno, raw in enumerate(text.split("\n"), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = raw.removesuffix("\r").split("#", 1)[0].strip(" \t")
         if not line:
             continue
         if not line.isascii():
             raise GraphFormatError(f"line {lineno}: non-ASCII text in {raw.strip()!r}")
+        # tab is the one control character allowed
+        if not line.isprintable() and not line.replace("\t", " ").isprintable():
+            raise GraphFormatError(f"line {lineno}: control character in {raw!r}")
         parts = line.split()
         if n is None:
             if len(parts) != 2 or parts[0] != "n" or not parts[1].isdigit():
                 raise GraphFormatError(
                     f"line {lineno}: expected 'n <count>', got {raw.strip()!r}"
                 )
-            n = _numeral(parts[1], lineno)
+            try:
+                n = int(parts[1])
+            except ValueError:
+                raise GraphFormatError(f"line {lineno}: count too long") from None
             if not 1 <= n <= MAX_VERTICES:
                 raise GraphFormatError(
                     f"line {lineno}: vertex count must be 1 to {MAX_VERTICES}"
@@ -326,25 +333,18 @@ def parse_graph(text: str) -> Graph:
             continue
         if len(parts) != 2 or not (parts[0].isdigit() and parts[1].isdigit()):
             raise GraphFormatError(f"line {lineno}: expected 'u v', got {raw.strip()!r}")
-        u, v = _numeral(parts[0], lineno), _numeral(parts[1], lineno)
+        try:  # on ASCII digits int() fails only past its digit limit (4300)
+            u, v = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise GraphFormatError(f"line {lineno}: endpoint too long") from None
         if not 1 <= u < v <= n:
             raise GraphFormatError(f"line {lineno}: need 1 <= u < v <= {n}, got {u} {v}")
         if (u, v) in seen:
             raise GraphFormatError(f"line {lineno}: duplicate edge {u} {v}")
         seen.add((u, v))
-        edges.append((u, v))
     if n is None:
         raise GraphFormatError("missing 'n <count>' header line")
-    return Graph(n, edges)
-
-
-def _numeral(digits: str, lineno: int) -> int:
-    """int() of an ASCII digit string, whose length int() limits (4300 digits
-    by default since Python 3.11)."""
-    try:
-        return int(digits)
-    except ValueError:
-        raise GraphFormatError(f"line {lineno}: {len(digits)}-digit number") from None
+    return Graph(n, seen)
 
 
 def format_graph(g: Graph) -> str:

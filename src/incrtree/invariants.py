@@ -12,6 +12,8 @@ forests), kept deliberately independent so they can cross-check each other:
   integer partition (shape form) or by set partition of the vertex set
   (refined form).
 
+The edge-subset routes read one table of subsets by component partition,
+costing |E| times the partitions reached instead of one pass per subset.
 All arithmetic is exact; coefficients are plain Python integers.
 """
 
@@ -128,45 +130,50 @@ class IntPoly:
 
 
 # ---------------------------------------------------------------------------
-# shared low-level subset scan
+# edge-subset table shared by the oracle routes
+
+# One-byte strings for bytes.replace; a label is a vertex position below
+# EXHAUSTIVE_LIMIT, so it fits in a byte.
+_BYTE = [bytes((i,)) for i in range(256)]
 
 
-def _positions(g: Graph):
-    vs = sorted(g.vertices)
-    pos = {v: i for i, v in enumerate(vs)}
-    es = [(pos[u], pos[v]) for u, v in sorted(g.edges)]
-    return vs, es
+def _edge_subset_table(g: Graph) -> dict[bytes, int]:
+    """Count the edge subsets of g by component partition and edge count.
 
-
-def _scan_components(n: int, es, visit):
-    """Run visit(mask, roots) over every edge subset with union-find roots.
-
-    roots[i] is the representative of vertex position i for the subset mask;
-    visit gets called once per mask in ascending order.
+    A key holds one label per vertex (in sorted order): the smallest
+    position in its component.  A value packs the count of k-edge subsets at
+    bit k*w, w = |E| + 1, which no count (at most 2^|E|) overflows.  Each
+    edge in sorted order keeps every state (edge left out) and adds its
+    counts, one edge up, under the merged key (edge taken): the state
+    merging of Sekine, Imai and Tani (ISAAC 1995), |E| times at most
+    min(2^|E|, Bell(n)) states.
     """
-    m = len(es)
-    for mask in range(1 << m):
-        parent = list(range(n))
-        mm = mask
-        while mm:
-            low = mm & -mm
-            mm ^= low
-            a, b = es[low.bit_length() - 1]
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            while parent[b] != b:
-                parent[b] = parent[parent[b]]
-                b = parent[b]
-            if a != b:
-                parent[a] = b
-        roots = [0] * n
-        for i in range(n):
-            r = i
-            while parent[r] != r:
-                r = parent[r]
-            roots[i] = r
-        visit(mask, roots)
+    n = len(g.vertices)
+    check_limit(n)
+    pos = {v: i for i, v in enumerate(sorted(g.vertices))}
+    w = len(g.edges) + 1
+    table = {bytes(range(n)): 1}
+    for u, v in sorted(g.edges):
+        a, b = pos[u], pos[v]
+        grown = dict(table)
+        for key, counts in table.items():
+            la, lb = key[a], key[b]
+            if la < lb:
+                key = key.replace(_BYTE[lb], _BYTE[la])
+            elif lb < la:
+                key = key.replace(_BYTE[la], _BYTE[lb])
+            grown[key] = grown.get(key, 0) + (counts << w)
+        table = grown
+    return table
+
+
+def _signed(counts: int, g: Graph) -> int:
+    """Sum over k of (-1)^k count_k for packed counts P(2^w), P(t) = sum of
+    count_k t^k: as 2^w = -1 mod 2^w + 1, that is P(-1) mod 2^w + 1, and
+    |P(-1)| <= 2^(w-1) pins the representative."""
+    m = (1 << (len(g.edges) + 1)) + 1
+    r = counts % m
+    return r - m if r > m >> 1 else r
 
 
 # ---------------------------------------------------------------------------
@@ -176,22 +183,14 @@ def _scan_components(n: int, es, visit):
 def connected_subgraph_poly(g: Graph) -> IntPoly:
     """Edge-count generating polynomial of the connected spanning subgraphs.
 
-    Exhaustive defining sum: one t^k term per connected spanning subgraph
-    with k edges.  Cost grows as 2^edges.
+    Defining sum: one t^k term per connected spanning subgraph with k
+    edges, read from the one-block entry of the edge-subset table.
     """
     if not g.is_connected():
         raise NotConnectedError("the connected-subgraph polynomial needs a connected graph")
-    check_limit(len(g.vertices))
-    vs, es = _positions(g)
-    n = len(vs)
-    counts = [0] * (len(es) + 1)
-
-    def visit(mask, roots):
-        if len(set(roots)) == 1:
-            counts[mask.bit_count()] += 1
-
-    _scan_components(n, es, visit)
-    return IntPoly(counts)
+    counts = _edge_subset_table(g)[bytes(len(g.vertices))]
+    w = len(g.edges) + 1
+    return IntPoly((counts >> k * w) & ((1 << w) - 1) for k in range(w))
 
 
 def connected_subgraph_poly_from_trees(g: Graph) -> IntPoly:
@@ -218,19 +217,12 @@ def connected_subgraph_poly_from_trees(g: Graph) -> IntPoly:
 def chromatic_poly_by_subsets(g: Graph) -> IntPoly:
     """Chromatic polynomial via the signed spanning-subgraph expansion.
 
-    Every edge subset contributes (-1)^edges x^components.  Works for
-    disconnected graphs; cost grows as 2^edges.
+    Every edge subset contributes (-1)^edges x^components, summed per entry
+    of the edge-subset table.  Works for disconnected graphs.
     """
-    check_limit(len(g.vertices))
-    vs, es = _positions(g)
-    n = len(vs)
-    coeffs = [0] * (n + 1)
-
-    def visit(mask, roots):
-        c = len(set(roots))
-        coeffs[c] += -1 if mask.bit_count() & 1 else 1
-
-    _scan_components(n, es, visit)
+    coeffs = [0] * (len(g.vertices) + 1)
+    for key, counts in _edge_subset_table(g).items():
+        coeffs[len(set(key))] += _signed(counts, g)
     return IntPoly(coeffs)
 
 
@@ -332,21 +324,15 @@ def csf_y_from_forests(g: Graph) -> dict[SetPartition, int]:
 
 def csf_y_by_subsets(g: Graph) -> dict[SetPartition, int]:
     """Oracle route: signed sum over all edge subsets grouped by component
-    partition.  Cost grows as 2^edges."""
-    check_limit(len(g.vertices))
-    vs, es = _positions(g)
-    n = len(vs)
-    acc: dict[tuple, int] = {}
-
-    def visit(mask, roots):
-        blocks: dict[int, list[int]] = {}
-        for i in range(n):
-            blocks.setdefault(roots[i], []).append(vs[i])
-        key = tuple(tuple(b) for b in blocks.values())
-        acc[key] = acc.get(key, 0) + (-1 if mask.bit_count() & 1 else 1)
-
-    _scan_components(n, es, visit)
-    return {SetPartition(key): c for key, c in sorted(acc.items()) if c}
+    partition, one entry of the edge-subset table per partition."""
+    vs = sorted(g.vertices)
+    out: dict[SetPartition, int] = {}
+    for key, counts in _edge_subset_table(g).items():
+        c = _signed(counts, g)
+        if c:
+            out[SetPartition([v for v, lab in zip(vs, key) if lab == label]
+                             for label in set(key))] = c
+    return dict(sorted(out.items()))
 
 
 def csf_x_from_forests(g: Graph) -> dict[tuple[int, ...], int]:
@@ -372,4 +358,10 @@ def collapse_by_shape(terms: dict[SetPartition, int]) -> dict[tuple[int, ...], i
 
 
 def csf_x_by_subsets(g: Graph) -> dict[tuple[int, ...], int]:
-    return collapse_by_shape(csf_y_by_subsets(g))
+    """Oracle route: the signed edge-subset sum grouped by partition shape,
+    the label multiplicities of each table key."""
+    out: dict[tuple[int, ...], int] = {}
+    for key, counts in _edge_subset_table(g).items():
+        shape = tuple(sorted(map(key.count, set(key)), reverse=True))
+        out[shape] = out.get(shape, 0) + _signed(counts, g)
+    return {shape: c for shape, c in out.items() if c}

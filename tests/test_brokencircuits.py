@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -6,7 +7,7 @@ from incrtree.brokencircuits import (bcf_subforests, breaks_by_circuits,
                                      breaks_by_skeleton, circuit_closed_by,
                                      is_broken_circuit_free,
                                      min_attachment_tree, spanning_subtrees)
-from incrtree.graphs import Graph, connected_graphs
+from incrtree.graphs import Graph, connected_graphs, random_connected_graph
 from incrtree.invariants import chromatic_poly_by_subsets
 from incrtree.skeleton import skeleton
 from incrtree.trees import RootedTree, increasing_trees
@@ -197,3 +198,18 @@ def test_bcf_stream_lexicographic():
     streamed = [h.sorted_edges() for h in bcf_subforests(g)]
     assert streamed == sorted(streamed)
     assert streamed == [h.sorted_edges() for h in bcf_subforests(g)]
+
+
+def test_bcf_fixed_q_is_the_filtered_full_stream():
+    """A given q walks only the (n - q)-edge subsets, yet yields exactly the
+    full stream filtered by edge count, in the same order; q outside 0..n
+    yields nothing."""
+    rng = random.Random(11)
+    graphs = list(connected_graphs(4)) + [random_connected_graph(6, rng)
+                                          for _ in range(5)]
+    for g in graphs:
+        n = len(g.vertices)
+        full = [h.sorted_edges() for h in bcf_subforests(g)]
+        for q in range(-1, n + 3):
+            assert [h.sorted_edges() for h in bcf_subforests(g, q=q)] == \
+                [es for es in full if len(es) == n - q]

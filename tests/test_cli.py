@@ -54,6 +54,19 @@ def test_k_disconnected_names_components(graphfile, capsys):
     assert "1 | 2 3" in err
 
 
+def test_k_disconnected_message_is_bounded(graphfile, capsys):
+    """The exit-3 message names the component count and at most ten
+    components of at most ten vertices each, however large the graph."""
+    code, out, err = run(capsys, "k", graphfile("n 5000\n"))
+    assert (code, out) == (3, "")
+    assert "5000 components: 1 | 2 | 3 | 4 | 5 | 6 | 7 | 8 | 9 | 10 | ...)" in err
+    path = "".join(f"{v} {v + 1}\n" for v in range(2, 5000))
+    code, out, err = run(capsys, "k", graphfile("n 5000\n" + path))
+    assert (code, out) == (3, "")
+    assert "2 components: 1 | 2 3 4 5 6 7 8 9 10 11 ...)" in err
+    assert len(err) < 100
+
+
 def test_parse_error_exit_code(graphfile, capsys):
     code, _, err = run(capsys, "k", graphfile("n 3\n1 2\n1 2\n"))
     assert code == 2
@@ -79,6 +92,8 @@ BAD_INPUTS = [
     pytest.param(LONG_COUNT, id="4301-digit-count"),
     pytest.param(b"n 3\n1 " + b"2" * 4301 + b"\n", id="4301-digit-endpoint"),
     pytest.param(f"n {MAX_VERTICES + 1}\n".encode(), id="count-above-MAX_VERTICES"),
+    pytest.param(b"n 2\n1\x1f2\n", id="unit-separator-between-fields"),
+    pytest.param(b"n 2\n1 2\x0c\n", id="form-feed-after-field"),
 ]
 
 

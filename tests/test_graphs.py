@@ -258,6 +258,24 @@ def test_parse_strips_carriage_returns():
     assert parse_graph("n 3\r\n1 2\r\n2 3\r\n") == Graph(3, [(1, 2), (2, 3)])
 
 
+@pytest.mark.parametrize("sep", [
+    "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f",  # str.split() blanks
+    "\x00", "\x7f",
+])
+def test_parse_separates_fields_by_space_and_tab_only(sep):
+    with pytest.raises(GraphFormatError):
+        parse_graph(f"n 2\n1{sep}2\n")
+    with pytest.raises(GraphFormatError):
+        parse_graph(f"n 2\n1 2{sep}\n")     # str.strip() blanks too
+    with pytest.raises(GraphFormatError):
+        parse_graph(f"n 2\n{sep}\n1 2\n")  # not a blank line either
+
+
+def test_parse_accepts_spaces_and_tabs():
+    assert parse_graph("n\t3\n 1 \t 2\t\n\t\n2  3 # c\x0b\r\n") == \
+        Graph(3, [(1, 2), (2, 3)])
+
+
 @pytest.mark.parametrize("text", [
     pytest.param("n " + "1" * 4301 + "\n", id="4301-digit-count"),
     pytest.param("n 3\n1 " + "2" * 4301 + "\n", id="4301-digit-endpoint"),

@@ -4,7 +4,7 @@ from math import factorial
 import pytest
 
 from incrtree.brokencircuits import bcf_subforests
-from incrtree.checks import check_eta_definition
+from incrtree.checks import _edge_subsets, check_eta_definition
 
 from incrtree.graphs import (EXHAUSTIVE_LIMIT, BoundExceededError, Graph,
                              NotConnectedError, SetPartition, all_graphs,
@@ -84,6 +84,8 @@ def test_subset_oracles_respect_limit():
         chromatic_poly_by_subsets(big)
     with pytest.raises(BoundExceededError):
         csf_y_by_subsets(big)
+    with pytest.raises(BoundExceededError):
+        csf_x_by_subsets(big)
 
 
 def test_forest_routes_respect_limit():
@@ -255,3 +257,47 @@ def test_eta_c12():
 
 def test_csf_x_k10_is_shape_collapse():
     assert csf_x_from_forests(K(10)) == collapse_by_shape(csf_y_from_forests(K(10)))
+
+
+# --- the edge-subset table behind the oracle routes ------------------------------------
+
+def literal_subset_sums(g):
+    """eta, chromatic, csf-y and csf-x summed one edge subset at a time, with
+    the components of each spanning subgraph found by Graph.components()."""
+    eta = [0] * (len(g.edges) + 1)
+    chi = [0] * (len(g.vertices) + 1)
+    y, x = {}, {}
+    for subset in _edge_subsets(g):
+        parts = g.spanning(subset).components()
+        sign = -1 if len(subset) % 2 else 1
+        if len(parts) == 1:
+            eta[len(subset)] += 1
+        chi[len(parts)] += sign
+        y[parts] = y.get(parts, 0) + sign
+        x[parts.shape()] = x.get(parts.shape(), 0) + sign
+    return (IntPoly(eta), IntPoly(chi), {p: c for p, c in y.items() if c},
+            {s: c for s, c in x.items() if c})
+
+
+def test_subset_oracles_match_literal_sum():
+    rng = random.Random(2024)
+    graphs = [g for n in range(1, 6) for g in connected_graphs(n)]
+    graphs += [random_connected_graph(n, rng) for n in (6, 6, 7, 7, 8)]
+    for g in graphs:
+        assert (connected_subgraph_poly(g), chromatic_poly_by_subsets(g),
+                csf_y_by_subsets(g), csf_x_by_subsets(g)) == literal_subset_sums(g)
+
+
+def test_subset_oracles_past_the_subset_wall():
+    """Closed forms where the literal sum would visit 2^28 (K8) or 2^15
+    (P16) edge subsets per route."""
+    falling = IntPoly.one()
+    for k in range(8):
+        falling = falling * IntPoly((-k, 1))
+    assert chromatic_poly_by_subsets(K(8)) == falling
+    p16 = Graph(16, [(v, v + 1) for v in range(1, 16)])
+    assert connected_subgraph_poly(p16) == IntPoly.x_power(15)
+    assert chromatic_poly_by_subsets(p16) == IntPoly.x() * IntPoly((-1, 1)) ** 15
+    c12 = Graph(12, [(i, i % 12 + 1) for i in range(1, 13)])
+    assert connected_subgraph_poly(c12) == \
+        IntPoly.x_power(12) + IntPoly.x_power(11, 12)
