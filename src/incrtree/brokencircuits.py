@@ -12,16 +12,19 @@ breaks of T are in bijection with the broken circuits inside T.
 supported tree, the smallest attachment edge present in G.  The resulting
 subtree is BCF, and collapsing it with ``skeleton`` returns the original
 tree, which makes the map a bijection between increasing supported trees
-and BCF spanning subtrees.
+and BCF spanning subtrees, and block by block between supported increasing
+forests and BCF spanning subforests.  ``bcf_subforests`` lists the BCF
+forests through that bijection, off the supported-tree count table, with no
+edge subset walked; the subset walk stays in ``checks`` as its oracle.
 """
 
 from __future__ import annotations
 
 import itertools
 
-from .graphs import Graph, check_limit
+from .graphs import Graph
 from .skeleton import skeleton
-from .trees import RootedTree
+from .trees import RootedTree, _supported_forests
 
 
 def _check_spanning_subtree(t: Graph, g: Graph) -> None:
@@ -156,29 +159,18 @@ def spanning_subtrees(g: Graph):
             yield t
 
 
-def _subsets_lex(seq):
-    yield ()
-    for i in range(len(seq)):
-        for tail in _subsets_lex(seq[i + 1:]):
-            yield (seq[i],) + tail
-
-
 def bcf_subforests(g: Graph, q: int | None = None):
     """Stream the broken-circuit-free spanning subforests of g.
 
     Order is lexicographic on sorted edge lists; q filters by component
-    count (q=1 gives the BCF spanning subtrees of a connected graph).  A BCF
-    subgraph is a forest, so it has q components exactly when it has n - q
-    edges; combinations() walks just those, in the same order.
+    count (q=1 gives the BCF spanning subtrees of a connected graph; a
+    forest on n >= 1 vertices has 1 to n components).  No edge subset is
+    walked: the BCF forests are the ``min_attachment_tree`` images, block
+    by block, of the supported increasing forests with the same blocks, so
+    each comes off the subset table as the smallest attachment edge below
+    every non-root vertex.
     """
-    n = len(g.vertices)
-    check_limit(n)
-    es = g.sorted_edges()
-    if q is None:
-        subsets = _subsets_lex(es)
-    else:  # no forest has more components than vertices
-        subsets = itertools.combinations(es, n - q) if q <= n else ()
-    for subset in subsets:
-        h = g.spanning(subset)
-        if is_broken_circuit_free(h, g):
-            yield h
+    images = sorted(tuple(sorted(e for tree in forest for e in tree[4]))
+                    for forest in _supported_forests(g, q))
+    for edges in images:
+        yield g.spanning(edges)

@@ -9,12 +9,13 @@ which confronting the identity with its brute-force side stays feasible.
 
 from __future__ import annotations
 
+import itertools
 import random
 from math import factorial
 
 from .brokencircuits import (bcf_subforests, breaks_by_circuits,
-                             breaks_by_skeleton, min_attachment_tree,
-                             spanning_subtrees)
+                             breaks_by_skeleton, is_broken_circuit_free,
+                             min_attachment_tree, spanning_subtrees)
 from .graphs import connected_graphs, format_graph, random_connected_graph
 from .invariants import (IntPoly, chromatic_poly_by_deletion_contraction,
                          chromatic_poly_by_subsets, chromatic_poly_from_forests,
@@ -22,10 +23,10 @@ from .invariants import (IntPoly, chromatic_poly_by_deletion_contraction,
                          connected_subgraph_poly_from_trees, csf_x_from_forests,
                          csf_y_by_subsets, csf_y_from_forests,
                          supported_forest_counts)
-from .skeleton import (attachments_cover, enumerate_fiber, fiber_size,
-                       skeleton, splits_match)
-from .trees import (count_supported_trees, increasing_trees,
-                    supported_increasing_forests)
+from .skeleton import (attachments_cover, enumerate_fiber, fiber_edge_sets,
+                       fiber_size, skeleton, splits_match)
+from .trees import (RootedTree, _supported_forests, count_supported_trees,
+                    increasing_trees, supported_increasing_forests)
 
 SELFCHECK_LIMIT = 6
 DEFAULT_SEED = 1729
@@ -151,7 +152,7 @@ def check_bcf_bijection(g):
     images = [min_attachment_tree(t, g) for t in supported]
     if len(set(images)) != len(images):
         _fail("minimum-attachment map is not injective")
-    bcf = set(bcf_subforests(g, q=1))
+    bcf = set(_bcf_by_subsets(g, q=1))
     if set(images) != bcf:
         _fail("image set differs from the BCF subtrees")
     for t, im in zip(supported, images):
@@ -168,8 +169,11 @@ def check_bcf_bijection(g):
 def check_bcf_counts(g):
     chi = chromatic_poly_by_deletion_contraction(g)
     forest_counts = supported_forest_counts(g)
+    oracle = list(_bcf_by_subsets(g))
+    if list(bcf_subforests(g)) != oracle:
+        _fail("BCF stream differs from the edge-subset walk")
     per_q = {}
-    for h in bcf_subforests(g):
+    for h in oracle:
         if len(h.edges) != len(h.vertices) - len(h.components()):
             _fail("a BCF subgraph contains a circuit")
         q = len(h.components())
@@ -180,6 +184,22 @@ def check_bcf_counts(g):
             _fail(f"BCF forest count at q={q} differs from the chromatic coefficient")
         if count != forest_counts.get(q, 0):
             _fail(f"BCF forest count at q={q} differs from the increasing-forest count")
+
+
+def check_tree_stream(g):
+    """The trees streamed off the count table are the supported increasing
+    trees in increasing_trees order, each vertex with its attachment count
+    and smallest attachment edge in g."""
+    want = [t for t in increasing_trees(g.vertices) if t.is_supported_by(g)]
+    got = [tree for (tree,) in _supported_forests(g, 1)]
+    if [RootedTree(root, zip(vertices, parents))
+            for root, vertices, parents, _, _ in got] != want:
+        _fail("tree stream differs from filtering increasing_trees")
+    for (*_, counts, edges), t in zip(got, want):
+        sets = fiber_edge_sets(g, t)
+        if list(zip(counts, edges)) != \
+                [(len(sets[v]), min(sets[v])) for v in sorted(sets)]:
+            _fail(f"tree stream attachment counts differ at {t!r}")
 
 
 def check_forest_enumeration(g):
@@ -209,6 +229,7 @@ PER_GRAPH_CHECKS = [
     ("break-routes", 5, check_break_routes),
     ("bcf-bijection", 5, check_bcf_bijection),
     ("bcf-counts", 5, check_bcf_counts),
+    ("tree-stream", SELFCHECK_LIMIT, check_tree_stream),
     ("forest-enumeration", 5, check_forest_enumeration),
 ]
 
@@ -238,9 +259,30 @@ PER_SIZE_CHECKS = [
 
 
 def _edge_subsets(g):
+    """Every edge subset of g, lexicographic on sorted edge lists."""
+    def extend(head, rest):
+        yield head
+        for i, e in enumerate(rest):
+            yield from extend(head + (e,), rest[i + 1:])
+
+    return extend((), g.sorted_edges())
+
+
+def _bcf_by_subsets(g, q=None):
+    """Oracle for bcf_subforests: walk the edge subsets, lexicographic on
+    sorted edge lists, and keep the broken circuit free ones.  A BCF
+    subgraph is a forest, so it has q components exactly when it has n - q
+    edges; combinations() walks just those, in the same order."""
+    n = len(g.vertices)
     es = g.sorted_edges()
-    for mask in range(1 << len(es)):
-        yield [es[i] for i in range(len(es)) if mask >> i & 1]
+    if q is None:
+        subsets = _edge_subsets(g)
+    else:  # no forest has more components than vertices
+        subsets = itertools.combinations(es, n - q) if q <= n else ()
+    for subset in subsets:
+        h = g.spanning(subset)
+        if is_broken_circuit_free(h, g):
+            yield h
 
 
 def graphs_to_check(n: int, seed: int):

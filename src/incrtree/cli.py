@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -28,8 +29,8 @@ from .invariants import (chromatic_poly_by_subsets,
                          connected_subgraph_poly_from_trees, csf_x_by_subsets,
                          csf_x_from_forests, csf_y_by_subsets,
                          csf_y_from_forests)
-from .skeleton import enumerate_fiber, fiber_edge_sets, skeleton, skeleton_forest
-from .trees import increasing_trees
+from .skeleton import enumerate_fiber, skeleton, skeleton_forest
+from .trees import RootedTree, _supported_forests
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -163,22 +164,19 @@ def cmd_fibers(args) -> int:
     g = _load_graph(args.graphfile)
     _require_connected(g)
     n = len(g.vertices)
+    # the keys of every record: the non-root vertices, ascending
+    keys = [str(v) for v in sorted(g.vertices)[1:]]
+    # one edge per vertex gives the trees; any nonempty subset, all members
+    factor = [c if args.trees_only else (1 << c) - 1 for c in range(n)]
     records = []
-    for tree in increasing_trees(g.vertices):
-        sets = fiber_edge_sets(g, tree)
-        if not all(sets.values()):
-            continue
-        size = 1
-        for es in sets.values():
-            # one edge per vertex gives the trees; any nonempty subset, all members
-            size *= len(es) if args.trees_only else (1 << len(es)) - 1
+    for ((root, vertices, parents, counts, _),) in _supported_forests(g, 1):
         record = {
-            "tree": tree.to_json_obj(),
-            "fiber_size": str(size),
-            "edge_choices": {str(v): len(sets[v]) for v in sorted(sets)},
+            "tree": {"root": root, "parent": dict(zip(keys, parents))},
+            "fiber_size": str(math.prod(map(factor.__getitem__, counts))),
+            "edge_choices": dict(zip(keys, counts)),
         }
         if args.list:
-            members = enumerate_fiber(g, tree)
+            members = enumerate_fiber(g, RootedTree(root, zip(vertices, parents)))
             record["members"] = [
                 _edges_list(q.edges) for q in members
                 if not args.trees_only or len(q.edges) == n - 1

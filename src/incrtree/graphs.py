@@ -113,25 +113,27 @@ class Graph:
         return adj
 
     def components(self) -> "SetPartition":
-        """The maximal partition of the vertex set into connected blocks."""
-        adj = self.adjacency()
-        seen: set[int] = set()
-        blocks = []
-        for start in sorted(self.vertices):
-            if start in seen:
-                continue
-            block = []
-            stack = [start]
-            seen.add(start)
-            while stack:
-                v = stack.pop()
-                block.append(v)
-                for w in adj[v]:
-                    if w not in seen:
-                        seen.add(w)
-                        stack.append(w)
-            blocks.append(block)
-        return SetPartition(blocks)
+        """The maximal partition of the vertex set into connected blocks.
+
+        One union-find pass over the edges, halving paths, builds no
+        adjacency sets; the finds are inlined, as they run for every edge
+        and vertex.
+        """
+        rep = {v: v for v in self.vertices}
+        for u, v in self.edges:
+            while rep[u] != u:
+                rep[u] = u = rep[rep[u]]
+            while rep[v] != v:
+                rep[v] = v = rep[rep[v]]
+            if u != v:
+                rep[u] = v
+        blocks: dict[int, list[int]] = {}
+        for v in rep:
+            r = v
+            while rep[r] != r:
+                r = rep[r]
+            blocks.setdefault(r, []).append(v)
+        return SetPartition(blocks.values())
 
     def is_connected(self) -> bool:
         if not self.vertices:

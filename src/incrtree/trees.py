@@ -16,6 +16,12 @@ only on its parent and its subtree's vertex set, so every sum over
 supported trees of per-vertex weights is one subset recursion
 (``supported_tree_sums``), about 3^m steps.  Forests follow by splitting
 off the block that holds the minimum vertex.
+
+Listing does not walk them either.  The supported trees and forests are
+read off the nonzero entries of the count table, each with its attachment
+counts and smallest attachment edges, so past the table the cost is in
+proportion to the output; the fibers and the broken-circuit-free forests
+come from the same stream.
 """
 
 from __future__ import annotations
@@ -226,6 +232,19 @@ def submasks(mask: int):
         sub = (sub - 1) & mask
 
 
+def _adjacency_masks(g: Graph) -> tuple[list[int], list[int]]:
+    """The sorted vertices vs of g and, for each position i, the mask of
+    vs[i]'s neighbours; bit i of a mask stands for vs[i]."""
+    vs = sorted(g.vertices)
+    check_limit(len(vs))
+    pos = {v: i for i, v in enumerate(vs)}
+    adj = [0] * len(vs)
+    for u, v in g.edges:
+        adj[pos[u]] |= 1 << pos[v]
+        adj[pos[v]] |= 1 << pos[u]
+    return vs, adj
+
+
 def supported_tree_sums(g: Graph, weight, one) -> list:
     """Weighted sums over supported increasing trees, for every vertex subset.
 
@@ -241,14 +260,8 @@ def supported_tree_sums(g: Graph, weight, one) -> list:
 
     two smaller masks each, so one ascending pass costs about 3^n/4 terms.
     """
-    vs = sorted(g.vertices)
-    n = len(vs)
-    check_limit(n)
-    pos = {v: i for i, v in enumerate(vs)}
-    adj = [0] * n
-    for u, v in g.edges:
-        adj[pos[u]] |= 1 << pos[v]
-        adj[pos[v]] |= 1 << pos[u]
+    adj = _adjacency_masks(g)[1]
+    n = len(adj)
     weights = [None] + [weight(c) for c in range(1, n)]
     zero = one - one
     sums = [zero] * (1 << n)
@@ -287,24 +300,95 @@ def mask_vertices(vs) -> list[tuple[int, ...]]:
     return table
 
 
-def supported_partitions(sums, vertices, mask: int, head: tuple = ()):
+def supported_partitions(sums, vertices, mask: int, head: tuple = (),
+                         q: int | None = None):
     """Yield the set partitions of mask whose blocks all have a nonzero entry
     in sums, as tuples of block masks after ``head``, in canonical
-    SetPartition order (``vertices`` is the ``mask_vertices`` table).
+    SetPartition order (``vertices`` is the ``mask_vertices`` table).  With
+    q given, only those with q blocks in all, ``head`` included.
 
     The block holding the minimum is split off first, its candidates in
     vertex-tuple order; a block with no supported tree is never expanded.
-    Every remainder has at least its all-singletons partition, so no branch
-    comes up empty.
+    Without q every remainder has at least its all-singletons partition, so
+    no branch comes up empty; with q the last block is the whole remainder.
     """
     if not mask:
-        yield head
+        if q is None or len(head) == q:
+            yield head
         return
+    if q is not None:
+        left = q - len(head)  # blocks still to split off
+        if not 1 <= left <= mask.bit_count():
+            return
+        if left == 1:
+            if sums[mask]:
+                yield head + (mask,)
+            return
     low = mask & -mask
     blocks = [low | extra for extra in submasks(mask ^ low)]
     for block in sorted(blocks, key=vertices.__getitem__):
         if sums[block]:
-            yield from supported_partitions(sums, vertices, mask ^ block, head + (block,))
+            yield from supported_partitions(sums, vertices, mask ^ block,
+                                            head + (block,), q)
+
+
+def _supported_forests(g: Graph, q: int | None = None):
+    """Stream the supported increasing forests of g off its count table, in
+    ``supported_increasing_forests`` order.
+
+    A forest is a tuple of trees, one per block by ascending minimum.  A
+    tree is a tuple (root, vertices, parents, counts, edges) whose last four
+    entries run over its non-root vertices v ascending: v, its parent, the
+    number c of its attachment edges in g, and the smallest of them, the
+    edge ``min_attachment_tree`` keeps.
+
+    The trees on a mask S follow the ``supported_tree_sums`` recursion: with
+    r = min S and low = min(S - r), each subtree B of low with an edge from
+    r and nonzero counts on B and S - B hangs B's trees under r beside the
+    trees of S - B.  Every branch yields, so past the table the cost is in
+    proportion to the output.  Sorting a block's trees on their parent
+    vectors gives the ``increasing_trees`` order.
+    """
+    vs, adj = _adjacency_masks(g)
+    sums = supported_tree_sums(g, lambda c: 1, 1)
+    grown: dict[int, list] = {}
+
+    def grow(s):
+        # the trees on s, each a tuple of (v, parent, c, edge) in the order made
+        if s in grown:
+            return grown[s]
+        root = s & -s
+        below = s ^ root
+        if not below:
+            return [()]
+        low = below & -below
+        near = adj[root.bit_length() - 1]
+        r, v = vs[root.bit_length() - 1], vs[low.bit_length() - 1]
+        out = []
+        for extra in submasks(below ^ low):
+            b = low | extra
+            hits = near & b
+            if hits and sums[b] and sums[s ^ b]:
+                e = (r, vs[(hits & -hits).bit_length() - 1])
+                made = ((v, r, hits.bit_count(), e),)
+                rest = grow(s ^ b)
+                out += [tb + ts + made for tb in grow(b) for ts in rest]
+        grown[s] = out
+        return out
+
+    ordered: dict[int, list] = {}
+
+    def block_trees(b):
+        if b not in ordered:
+            columns = [tuple(zip(*sorted(t))) or ((),) * 4 for t in grow(b)]
+            columns.sort(key=lambda c: c[1])
+            root = (vs[(b & -b).bit_length() - 1],)
+            ordered[b] = [root + c for c in columns]
+        return ordered[b]
+
+    vertices = mask_vertices(vs)
+    for blocks in supported_partitions(sums, vertices, len(vertices) - 1, q=q):
+        yield from itertools.product(*map(block_trees, blocks))
 
 
 def supported_increasing_forests(g: Graph, q: int | None = None):
@@ -313,18 +397,11 @@ def supported_increasing_forests(g: Graph, q: int | None = None):
     A forest qualifies when, for every component, the restriction of g to
     that component's vertex set supports the component tree.  With q given,
     only forests with exactly q components are yielded.  Order: canonical
-    order of the underlying partition, then per-block tree enumeration
-    order, the last block advancing fastest.
+    order of the underlying partition, then per-block ``increasing_trees``
+    order, the last block advancing fastest.  Every block's trees come off
+    one count table of g, so past the table the cost is in proportion to
+    the output.
     """
-    sums = supported_tree_sums(g, lambda c: 1, 1)
-    vertices = mask_vertices(sorted(g.vertices))
-    for blocks in supported_partitions(sums, vertices, len(vertices) - 1):
-        if q is not None and len(blocks) != q:
-            continue
-        per_block = []
-        for mask in blocks:
-            b = vertices[mask]
-            gb = g.restrict(b)
-            per_block.append([t for t in increasing_trees(b) if t.is_supported_by(gb)])
-        for combo in itertools.product(*per_block):
-            yield RootedForest(combo)
+    for forest in _supported_forests(g, q):
+        yield RootedForest(RootedTree(root, zip(vertices, parents))
+                           for root, vertices, parents, _, _ in forest)

@@ -7,7 +7,9 @@ from incrtree.brokencircuits import (bcf_subforests, breaks_by_circuits,
                                      breaks_by_skeleton, circuit_closed_by,
                                      is_broken_circuit_free,
                                      min_attachment_tree, spanning_subtrees)
-from incrtree.graphs import Graph, connected_graphs, random_connected_graph
+from incrtree.checks import _bcf_by_subsets
+from incrtree.graphs import (Graph, connected_graphs, random_connected_graph,
+                             random_graph)
 from incrtree.invariants import chromatic_poly_by_subsets
 from incrtree.skeleton import skeleton
 from incrtree.trees import RootedTree, increasing_trees
@@ -201,9 +203,8 @@ def test_bcf_stream_lexicographic():
 
 
 def test_bcf_fixed_q_is_the_filtered_full_stream():
-    """A given q walks only the (n - q)-edge subsets, yet yields exactly the
-    full stream filtered by edge count, in the same order; q outside 0..n
-    yields nothing."""
+    """A given q yields exactly the full stream filtered by edge count, in
+    the same order; q outside 0..n yields nothing."""
     rng = random.Random(11)
     graphs = list(connected_graphs(4)) + [random_connected_graph(6, rng)
                                           for _ in range(5)]
@@ -213,3 +214,17 @@ def test_bcf_fixed_q_is_the_filtered_full_stream():
         for q in range(-1, n + 3):
             assert [h.sorted_edges() for h in bcf_subforests(g, q=q)] == \
                 [es for es in full if len(es) == n - q]
+
+
+def test_bcf_stream_matches_the_subset_walk():
+    """The bijection stream equals the oracle that walks edge subsets and
+    keeps the broken circuit free ones, order included, for every q and for
+    connected and disconnected graphs alike."""
+    rng = random.Random(1483)
+    graphs = [Graph(1), Graph(2), Graph(4, [(1, 2), (3, 4)])]
+    graphs += [random_graph(n, rng) for n in (3, 4, 5, 5, 6, 6, 6)]
+    graphs += [random_connected_graph(n, rng) for n in (5, 6, 7)]
+    for g in graphs:
+        n = len(g.vertices)
+        for q in [None, *range(-1, n + 3)]:
+            assert list(bcf_subforests(g, q)) == list(_bcf_by_subsets(g, q))

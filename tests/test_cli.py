@@ -1,9 +1,12 @@
 import contextlib
+import hashlib
 import io
 import itertools
 import json
+import random
 import sys
 import tempfile
+import time
 from pathlib import Path
 from unittest import mock
 
@@ -11,7 +14,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from incrtree.cli import main
-from incrtree.graphs import MAX_VERTICES, Graph, format_graph
+from incrtree.graphs import (MAX_VERTICES, Graph, format_graph,
+                             random_connected_graph)
+from incrtree.invariants import connected_subgraph_poly
+from incrtree.trees import count_supported_trees
 
 K3 = "n 3\n1 2\n1 3\n2 3\n"
 K4 = "n 4\n1 2\n1 3\n1 4\n2 3\n2 4\n3 4\n"
@@ -130,8 +136,11 @@ COMMANDS = [  # None stands for the graph file or "-"
     ["invariants", "chromatic", None, "--method", "trees"],
     ["invariants", "csf-y", None],
     ["fibers", None],
+    ["fibers", None, "--list", "--trees-only"],
+    ["fibers", None, "--table"],
     ["bcf", None],
     ["bcf", None, "--q", "2"],
+    ["bcf", None, "--q", "0"],
 ]
 
 
@@ -179,7 +188,8 @@ def test_cli_exit_code_contract(argv, data, via_stdin):
     assert code in (0, 2, 3, 4)
     assert "Traceback" not in err
     if code == 0:
-        json.loads(out)
+        if "--table" not in argv:
+            json.loads(out)
     else:
         assert not out
 
@@ -276,6 +286,67 @@ def test_fibers_list_members(graphfile, capsys):
     assert sum(len(r["members"]) for r in records) == 3
     for r in records:
         assert len(r["members"]) == int(r["fiber_size"])
+
+
+def test_fibers_on_p14_skips_the_factorial_walk(graphfile, capsys):
+    """P14 has one supported increasing tree among 13! (about 6.2e9)."""
+    path = graphfile(format_graph(Graph(14, [(v, v + 1) for v in range(1, 14)])))
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "fibers", path)
+    assert time.perf_counter() - start < 5
+    assert code == 0
+    assert json.loads(out) == [{
+        "tree": {"root": 1, "parent": {str(v + 1): v for v in range(1, 14)}},
+        "fiber_size": "1",
+        "edge_choices": {str(v): 1 for v in range(2, 15)},
+    }]
+
+
+def seeded_connected_graphs():
+    rng = random.Random(4242)
+    return [random_connected_graph(n, rng) for n in (3, 4, 5, 6, 6, 7, 7, 8)]
+
+
+@pytest.mark.parametrize("g", seeded_connected_graphs(), ids=lambda g: f"n{g.n}")
+def test_fiber_records_follow_the_paper(graphfile, capsys, g):
+    """One record per supported increasing tree, and the fiber sizes add up
+    to eta(1), the number of connected spanning subgraphs, by the
+    edge-subset oracle."""
+    path = graphfile(format_graph(g))
+    records = json.loads(run(capsys, "fibers", path)[1])
+    assert len(records) == count_supported_trees(g)
+    assert sum(int(r["fiber_size"]) for r in records) == connected_subgraph_poly(g)(1)
+
+
+# Stdout digests recorded from the implementation that walked every
+# increasing tree and every edge subset; each covers the six graphs in order.
+GOLDEN_GRAPHS = [(4, 1), (5, 2), (5, 3), (6, 4), (6, 5), (7, 6)]  # (n, seed)
+GOLDEN_DIGESTS = {
+    "fibers": "b52aae66a8cb378a0885e306a412fa08e0f6c8b9dc94a5f8c264e64e4966eaf0",
+    "fibers --list": "21edfd6b1659871387f113de9bdf383b057068a00ee97a8329c71a67f47b7940",
+    "fibers --trees-only":
+        "710829b571b4d1fb1f3a35bb57b6366aae3562140cc03dac794633874270bf53",
+    "fibers --table": "a04388934d622d8dc44f00432b3430c2b42acacf136b85bb50c3a85abe3dc0c2",
+    "fibers --list --trees-only":
+        "bf15ee6c4a952202abc1f69fb1d63b367d6877e7385f6cf8ad01ccf1c2a87084",
+    "bcf --q 1": "fea97a186635bc5e4326f9b5e69f8cc22597a4225f4ebe3a9a57bda6a20aa3d5",
+    "bcf --q 2": "c04d5ebaccd0ebf7ebd59a09eefb988a4bbb3144ad4d3d7ddd57eaa04a197ca0",
+    "bcf --q 3": "a32f683e248fd1535b3e42696a54ec46ddb83a01b4a9f3579e9e550c3d78ef3c",
+    "bcf --table": "72360bd6c386efd0d2973fb41caaf9dfe9202593ec7088115ee668e81a317699",
+    "bcf --q 0": "b18664a06ed0bd101b25a7b58229152a46f6c4b013207f0721ed49960f9ec7a2",
+}
+
+
+@pytest.mark.parametrize("command", GOLDEN_DIGESTS)
+def test_stream_output_matches_golden_digest(graphfile, capsys, command):
+    command, *flags = command.split()
+    digest = hashlib.sha256()
+    for n, seed in GOLDEN_GRAPHS:
+        g = random_connected_graph(n, random.Random(seed))
+        code, out, _ = run(capsys, command, graphfile(format_graph(g)), *flags)
+        assert code == 0
+        digest.update(out.encode())
+    assert digest.hexdigest() == GOLDEN_DIGESTS[" ".join([command, *flags])]
 
 
 # --- bcf ------------------------------------------------------------------------------

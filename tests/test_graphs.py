@@ -1,3 +1,6 @@
+import itertools
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -99,6 +102,38 @@ def test_component_blocks_are_connected():
     g = Graph(6, [(1, 2), (2, 3), (4, 5)])
     for block in g.components():
         assert g.restrict(block).is_connected()
+
+
+def components_by_search(g):
+    """Oracle: depth-first search from each unseen vertex, ascending; each
+    block is sorted and starts at its minimum."""
+    adj = g.adjacency()
+    seen, blocks = set(), []
+    for start in sorted(g.vertices):
+        if start not in seen:
+            seen.add(start)
+            block, stack = [], [start]
+            while stack:
+                v = stack.pop()
+                block.append(v)
+                for w in adj[v] - seen:
+                    seen.add(w)
+                    stack.append(w)
+            blocks.append(tuple(sorted(block)))
+    return tuple(blocks)
+
+
+def test_components_match_search_oracle():
+    """The union-find components equal a graph search's, block order and
+    all, on random graphs with sparse labels and edge densities from empty
+    to complete."""
+    rng = random.Random(77)
+    for _ in range(300):
+        labels = rng.sample(range(1, 60), rng.randrange(1, 16))
+        pairs = list(itertools.combinations(labels, 2))
+        edges = rng.sample(pairs, rng.randrange(len(pairs) + 1))
+        g = Graph(labels, edges)
+        assert g.components().blocks == components_by_search(g)
 
 
 # --- set partitions ----------------------------------------------------------

@@ -1,11 +1,13 @@
 """A third oracle written outside this package: networkx's chromatic and
 Tutte polynomials against the forest and tree routes."""
 
+import json
 import random
 
 import pytest
 
-from incrtree.graphs import Graph, random_connected_graph
+from incrtree.cli import main
+from incrtree.graphs import Graph, format_graph, random_connected_graph
 from incrtree.invariants import (chromatic_poly_from_forests,
                                  connected_subgraph_poly_from_trees)
 
@@ -54,3 +56,15 @@ def test_eta_matches_tutte_specialization(g):
     tutte = sympy.sympify(nx.tutte_polynomial(as_networkx(g)))
     eta = t ** (g.n - 1) * tutte.subs({x: 1, y: 1 + t}, simultaneous=True)
     assert connected_subgraph_poly_from_trees(g).to_list() == ascending_coeffs(eta, t)
+
+
+@pytest.mark.parametrize("g", list(seeded_graphs()), ids=graph_id)
+def test_trees_only_fibers_count_spanning_trees(g, tmp_path, capsys):
+    """Every spanning tree collapses to one supported increasing tree, so
+    the --trees-only fiber sizes add up to networkx's spanning-tree count."""
+    path = tmp_path / "g.txt"
+    path.write_text(format_graph(g))
+    assert main(["fibers", str(path), "--trees-only"]) == 0
+    records = json.loads(capsys.readouterr().out)
+    assert sum(int(r["fiber_size"]) for r in records) == \
+        round(nx.number_of_spanning_trees(as_networkx(g)))

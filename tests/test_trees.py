@@ -1,10 +1,14 @@
 import itertools
+import random
 from math import factorial
 
 import pytest
 from hypothesis import given, strategies as st
 
-from incrtree.graphs import EXHAUSTIVE_LIMIT, BoundExceededError, Graph
+from incrtree.graphs import (EXHAUSTIVE_LIMIT, BoundExceededError, Graph,
+                             connected_graphs, random_connected_graph,
+                             random_graph, set_partitions_of)
+from incrtree.checks import check_tree_stream
 from incrtree.trees import (RootedForest, RootedTree, count_supported_trees,
                             increasing_trees, supported_increasing_forests)
 
@@ -278,3 +282,54 @@ def test_forest_stream_deterministic():
     g = Graph(4, [(1, 2), (2, 3), (2, 4)])
     assert list(supported_increasing_forests(g)) == \
         list(supported_increasing_forests(g))
+
+
+# --- the stream off the count table -------------------------------------------------
+
+def relabel(g, labels):
+    """g with vertex i renamed labels[i - 1]."""
+    return Graph(labels, ((labels[u - 1], labels[v - 1]) for u, v in g.edges))
+
+
+def test_tree_stream_on_every_small_connected_graph():
+    """The tree stream lists the supported increasing trees in
+    increasing_trees order, each non-root vertex with its attachment count
+    in g and its smallest attachment edge (checks.check_tree_stream)."""
+    for n in range(1, 6):
+        for g in connected_graphs(n):
+            check_tree_stream(g)
+
+
+def test_tree_stream_on_seeded_and_relabelled_graphs():
+    rng = random.Random(606)
+    for n in (6, 6, 7, 7):
+        check_tree_stream(random_connected_graph(n, rng))
+    for n in (4, 5, 6):
+        g = random_connected_graph(n, rng)
+        check_tree_stream(relabel(g, sorted(rng.sample(range(1, 40), n))))
+        check_tree_stream(relabel(g, rng.sample(range(1, 40), n)))
+    check_tree_stream(Graph.complete(9).restrict({2, 5, 7, 9}))
+    check_tree_stream(random_connected_graph(9, rng).restrict({2, 5, 7, 9}))
+
+
+def forests_in_stream_order(g, q=None):
+    """Oracle: canonical partitions, each block's supported trees filtered
+    from increasing_trees, the last block advancing fastest."""
+    out = []
+    for part in sorted(set_partitions_of(g.vertices)):
+        if q is None or len(part) == q:
+            per_block = [[t for t in increasing_trees(b)
+                          if t.is_supported_by(g.restrict(b))] for b in part]
+            out += [RootedForest(combo) for combo in itertools.product(*per_block)]
+    return out
+
+
+def test_forest_stream_order_matches_filtered_partitions():
+    rng = random.Random(707)
+    graphs = [Graph(1), Graph(3), Graph(4, [(1, 2), (3, 4)]), Graph.complete(4)]
+    graphs += [random_graph(n, rng) for n in (5, 5, 6, 6)]
+    graphs += [relabel(random_graph(5, rng), [3, 4, 8, 11, 12])]
+    for g in graphs:
+        for q in (None, 0, 1, 2, 3, len(g.vertices) + 1):
+            assert list(supported_increasing_forests(g, q)) == \
+                forests_in_stream_order(g, q)
