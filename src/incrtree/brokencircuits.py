@@ -24,7 +24,7 @@ import itertools
 
 from .graphs import Graph
 from .skeleton import skeleton
-from .trees import RootedTree, _supported_forests
+from .trees import RootedTree, _digit_map, _supported_forests, _unpack
 
 
 def _check_spanning_subtree(t: Graph, g: Graph) -> None:
@@ -159,6 +159,24 @@ def spanning_subtrees(g: Graph):
             yield t
 
 
+def _bcf_forests(g: Graph, q: int | None = None) -> list:
+    """The broken-circuit-free spanning subforests of g, in ``bcf_subforests``
+    order, as pairs (edges, forest): the sorted edge list and the supported
+    increasing forest, a ``_supported_forests`` pair (blocks, packed), whose
+    ``min_attachment_tree`` image it is.  By the bijection that forest is
+    also the image's skeleton forest."""
+    vs = sorted(g.vertices)
+    label = _digit_map(vs)
+    images = []
+    for forest in _supported_forests(g, q):
+        parents, counts, ends = _unpack(forest[1], len(vs))
+        edges = [(label[p], label[e]) for p, c, e in zip(parents, counts, ends) if c != "0"]
+        edges.sort()
+        images.append((edges, forest))
+    images.sort()
+    return images
+
+
 def bcf_subforests(g: Graph, q: int | None = None):
     """Stream the broken-circuit-free spanning subforests of g.
 
@@ -170,7 +188,5 @@ def bcf_subforests(g: Graph, q: int | None = None):
     each comes off the subset table as the smallest attachment edge below
     every non-root vertex.
     """
-    images = sorted(tuple(sorted(e for tree in forest for e in tree[4]))
-                    for forest in _supported_forests(g, q))
-    for edges in images:
+    for edges, _ in _bcf_forests(g, q):
         yield g.spanning(edges)

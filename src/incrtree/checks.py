@@ -25,7 +25,7 @@ from .invariants import (IntPoly, chromatic_poly_by_deletion_contraction,
                          supported_forest_counts)
 from .skeleton import (attachments_cover, enumerate_fiber, fiber_edge_sets,
                        fiber_size, skeleton, splits_match)
-from .trees import (RootedTree, _supported_forests, count_supported_trees,
+from .trees import (RootedTree, _supported_forests, _unpack, count_supported_trees,
                     increasing_trees, supported_increasing_forests)
 
 SELFCHECK_LIMIT = 6
@@ -189,16 +189,22 @@ def check_bcf_counts(g):
 def check_tree_stream(g):
     """The trees streamed off the count table are the supported increasing
     trees in increasing_trees order, each vertex with its attachment count
-    and smallest attachment edge in g."""
+    and smallest attachment edge in g, and the root's fields are zero."""
     want = [t for t in increasing_trees(g.vertices) if t.is_supported_by(g)]
-    got = [tree for (tree,) in _supported_forests(g, 1)]
-    if [RootedTree(root, zip(vertices, parents))
-            for root, vertices, parents, _, _ in got] != want:
+    vs = sorted(g.vertices)
+    got = []
+    for _, packed in _supported_forests(g, 1):
+        columns = _unpack(packed, len(vs))
+        if any(column[0] != "0" for column in columns):
+            _fail("tree stream sets a field of the root")
+        parents, counts, ends = ([int(d, 16) for d in column[1:]] for column in columns)
+        got.append((RootedTree(vs[0], zip(vs[1:], (vs[p] for p in parents))),
+                    [(c, (vs[p], vs[e])) for p, c, e in zip(parents, counts, ends)]))
+    if [tree for tree, _ in got] != want:
         _fail("tree stream differs from filtering increasing_trees")
-    for (*_, counts, edges), t in zip(got, want):
+    for t, fields in got:
         sets = fiber_edge_sets(g, t)
-        if list(zip(counts, edges)) != \
-                [(len(sets[v]), min(sets[v])) for v in sorted(sets)]:
+        if fields != [(len(sets[v]), min(sets[v])) for v in sorted(sets)]:
             _fail(f"tree stream attachment counts differ at {t!r}")
 
 

@@ -19,18 +19,15 @@ import math
 import sys
 from pathlib import Path
 
-from .brokencircuits import (bcf_subforests, breaks_by_circuits,
-                             spanning_subtrees)
-from .checks import DEFAULT_SEED, SELFCHECK_LIMIT, run_selfcheck
+from .brokencircuits import _bcf_forests, breaks_by_circuits, spanning_subtrees
 from .graphs import (BoundExceededError, Graph, GraphFormatError,
                      NotConnectedError, parse_graph)
-from .invariants import (chromatic_poly_by_subsets,
+from .invariants import (_csf_y_terms, chromatic_poly_by_subsets,
                          chromatic_poly_from_forests, connected_subgraph_poly,
                          connected_subgraph_poly_from_trees, csf_x_by_subsets,
-                         csf_x_from_forests, csf_y_by_subsets,
-                         csf_y_from_forests)
-from .skeleton import enumerate_fiber, skeleton, skeleton_forest
-from .trees import RootedTree, _supported_forests
+                         csf_x_from_forests, csf_y_by_subsets)
+from .skeleton import enumerate_fiber, skeleton
+from .trees import RootedTree, _digit_map, _supported_forests, _unpack
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -45,8 +42,12 @@ class CliError(Exception):
         self.code = code
 
 
+def _json(obj) -> str:
+    return json.dumps(obj, separators=(",", ":"))
+
+
 def _emit_json(obj):
-    print(json.dumps(obj, separators=(",", ":")))
+    print(_json(obj))
 
 
 def _load_graph(path) -> Graph:
@@ -97,96 +98,127 @@ def cmd_k(args) -> int:
 def _poly_routes(which, g):
     if which == "eta":
         _require_connected(g)
-        return (lambda: connected_subgraph_poly_from_trees(g).to_list(),
-                lambda: connected_subgraph_poly(g).to_list())
+        return (lambda: _json(connected_subgraph_poly_from_trees(g).to_list()),
+                lambda: _json(connected_subgraph_poly(g).to_list()))
     # chromatic: the subset expansion is the oracle route; deletion and
     # contraction stays available for cross-checks in the library and tests
-    return (lambda: chromatic_poly_from_forests(g).to_list(),
-            lambda: chromatic_poly_by_subsets(g).to_list())
+    return (lambda: _json(chromatic_poly_from_forests(g).to_list()),
+            lambda: _json(chromatic_poly_by_subsets(g).to_list()))
 
 
 def _csf_x_json(terms):
-    return [{"lambda": list(shape), "coeff": str(terms[shape])}
-            for shape in sorted(terms, reverse=True)]
+    return _json([{"lambda": list(shape), "coeff": str(terms[shape])}
+                  for shape in sorted(terms, reverse=True)])
 
 
-def _csf_y_json(terms):
-    return [{"blocks": [list(b) for b in part.blocks], "coeff": str(terms[part])}
-            for part in sorted(terms)]
+def _block_text(block) -> str:
+    return "[" + ",".join(map(str, block)) + "]"
+
+
+def _csf_y_text(terms, block_text) -> str:
+    """JSON text of refined power-sum terms, (blocks, coeff) pairs in
+    canonical order, block_text(b) giving the text of block b."""
+    return "[" + ",".join(
+        '{"blocks":[%s],"coeff":"%d"}' % (",".join(map(block_text, blocks)), c)
+        for blocks, c in terms) + "]"
+
+
+def _csf_y_trees(g):
+    vertices, terms = _csf_y_terms(g)
+    return _csf_y_text(terms, list(map(_block_text, vertices)).__getitem__)
 
 
 def _csf_routes(which, g):
     if which == "csf-x":
         return (lambda: _csf_x_json(csf_x_from_forests(g)),
                 lambda: _csf_x_json(csf_x_by_subsets(g)))
-    return (lambda: _csf_y_json(csf_y_from_forests(g)),
-            lambda: _csf_y_json(csf_y_by_subsets(g)))
+    return (lambda: _csf_y_trees(g),
+            lambda: _csf_y_text(((part.blocks, c) for part, c in
+                                 sorted(csf_y_by_subsets(g).items())), _block_text))
 
 
 def cmd_invariants(args) -> int:
     g = _load_graph(args.graphfile)
     polyish = args.which in ("eta", "chromatic")
     trees_route, oracle_route = (_poly_routes if polyish else _csf_routes)(args.which, g)
-    out = {"which": args.which, "method": args.method}
     key = "coefficients" if polyish else "terms"
+    # every route gives the JSON text of its value, so "both" compares texts
     try:
-        if args.method == "trees":
-            out[key] = trees_route()
-        elif args.method == "oracle":
-            out[key] = oracle_route()
+        if args.method == "both":
+            values = {"trees": trees_route(), "oracle": oracle_route()}
+            agree = values["trees"] == values["oracle"]
+            if agree:
+                values = {key: values["trees"]}
         else:
-            a, b = trees_route(), oracle_route()
-            out["agree"] = a == b
-            if a == b:
-                out[key] = a
-            else:
-                out["trees"] = a
-                out["oracle"] = b
+            agree = None
+            values = {key: (trees_route if args.method == "trees" else oracle_route)()}
     except BoundExceededError as exc:
         raise CliError(EXIT_BOUND, str(exc))
-    if args.table:
+    if args.table:  # the Python form of each value, as --table always printed
         print(f"{args.which} ({args.method})")
-        if key in out:
-            print(out[key])
+        if key in values:
+            print(json.loads(values[key]))
         else:
-            print("trees :", out["trees"])
-            print("oracle:", out["oracle"])
-        if "agree" in out:
-            print("agree:", out["agree"])
+            print("trees :", json.loads(values["trees"]))
+            print("oracle:", json.loads(values["oracle"]))
+        if agree is not None:
+            print("agree:", agree)
     else:
-        _emit_json(out)
+        head = f'{{"which":"{args.which}","method":"{args.method}"'
+        if agree is not None:
+            head += f',"agree":{_json(agree)}'
+        print(head + "".join(f',"{k}":{v}' for k, v in values.items()) + "}")
     return EXIT_OK
 
 
 # --- fibers ---------------------------------------------------------------------------
 
+def _slots(keys) -> str:
+    """JSON text of an object on the given keys with a %s slot per value."""
+    return "{" + ",".join(f'"{k}":%s' for k in keys) + "}"
+
+
+def _tree_template(root, keys) -> str:
+    """JSON text of a rooted tree with a %s slot for the parent of each key."""
+    return f'{{"root":{root},"parent":{_slots(keys)}}}'
+
+
 def cmd_fibers(args) -> int:
     g = _load_graph(args.graphfile)
     _require_connected(g)
-    n = len(g.vertices)
-    # the keys of every record: the non-root vertices, ascending
-    keys = [str(v) for v in sorted(g.vertices)[1:]]
+    vs = sorted(g.vertices)
+    n = len(vs)
+    # A record fills one template from the columns of a packed tree, whose
+    # root is at position 0.  Its fiber size and edge choices depend on the
+    # count column alone, so that part is filled once per distinct column.
+    head = '{"tree":' + _tree_template(vs[0], vs[1:]) + ',"fiber_size":"'
+    tail = '%s","edge_choices":' + _slots(vs[1:])
+    label, text = _digit_map(vs), _digit_map(map(str, vs))
+    count = _digit_map(map(str, range(n)))
     # one edge per vertex gives the trees; any nonempty subset, all members
-    factor = [c if args.trees_only else (1 << c) - 1 for c in range(n)]
+    factor = _digit_map([c if args.trees_only else (1 << c) - 1 for c in range(n)])
+    by_counts = {}  # count column -> fiber size, record text from the size on
     records = []
-    for ((root, vertices, parents, counts, _),) in _supported_forests(g, 1):
-        record = {
-            "tree": {"root": root, "parent": dict(zip(keys, parents))},
-            "fiber_size": str(math.prod(map(factor.__getitem__, counts))),
-            "edge_choices": dict(zip(keys, counts)),
-        }
+    for _, packed in _supported_forests(g, 1):
+        parents, counts, _ = _unpack(packed, n)
+        parents = parents[1:]
+        if counts not in by_counts:
+            size = math.prod(map(factor.__getitem__, counts[1:]))
+            by_counts[counts] = size, tail % (size, *map(count.__getitem__, counts[1:]))
+        size, rest = by_counts[counts]
+        if args.table or args.list:
+            tree = RootedTree(vs[0], zip(vs[1:], map(label.__getitem__, parents)))
+        if args.table:
+            print(f"tree {tree.to_json_obj()}  fiber_size {size}")
+            continue
+        record = head % tuple(map(text.__getitem__, parents)) + rest
         if args.list:
-            members = enumerate_fiber(g, RootedTree(root, zip(vertices, parents)))
-            record["members"] = [
-                _edges_list(q.edges) for q in members
-                if not args.trees_only or len(q.edges) == n - 1
-            ]
-        records.append(record)
-    if args.table:
-        for r in records:
-            print(f"tree {r['tree']}  fiber_size {r['fiber_size']}")
-    else:
-        _emit_json(records)
+            record += ',"members":' + _json([_edges_list(q.edges)
+                                             for q in enumerate_fiber(g, tree)
+                                             if not args.trees_only or len(q.edges) == n - 1])
+        records.append(record + "}")
+    if not args.table:
+        print("[" + ",".join(records) + "]")
     return EXIT_OK
 
 
@@ -195,35 +227,52 @@ def cmd_fibers(args) -> int:
 def cmd_bcf(args) -> int:
     g = _load_graph(args.graphfile)
     _require_connected(g)
-    records = []
     if args.breaks_all:
-        for t in spanning_subtrees(g):
-            records.append({
-                "edges": _edges_list(t.edges),
-                "breaks": _edges_list(breaks_by_circuits(t, g)),
-                "skeleton": skeleton(t).to_json_obj(),
-            })
-    else:
-        for h in bcf_subforests(g, q=args.q):
-            forest = skeleton_forest(h)
-            records.append({
-                "edges": _edges_list(h.edges),
-                "skeleton": (forest.components[0] if args.q == 1 else forest).to_json_obj(),
-            })
+        records = [{"edges": _edges_list(t.edges),
+                    "breaks": _edges_list(breaks_by_circuits(t, g)),
+                    "skeleton": skeleton(t).to_json_obj()}
+                   for t in spanning_subtrees(g)]
+        if args.table:
+            for r in records:
+                print(f"edges {r['edges']}  breaks {r['breaks']}")
+        else:
+            _emit_json(records)
+        return EXIT_OK
+    forests = _bcf_forests(g, args.q)
     if args.table:
-        for r in records:
-            line = f"edges {r['edges']}"
-            if "breaks" in r:
-                line += f"  breaks {r['breaks']}"
-            print(line)
-    else:
-        _emit_json(records)
+        for edges, _ in forests:
+            print(f"edges {[list(e) for e in edges]}")
+        return EXIT_OK
+    # each BCF forest comes with the supported forest it is the image of,
+    # which is its skeleton: written as a tree for q = 1, else as a list
+    vs = sorted(g.vertices)
+    text = _digit_map(map(str, vs))
+    edge_text = {e: "[%d,%d]" % e for e in g.edges}
+    shapes = {}  # blocks -> skeleton template, positions filling its slots
+    records = []
+    for edges, (blocks, packed) in forests:
+        if blocks not in shapes:
+            trees, slots = [], []
+            for b in blocks:
+                at = [i for i in range(len(vs)) if b >> i & 1]
+                trees.append(_tree_template(vs[at[0]], [vs[i] for i in at[1:]]))
+                slots += at[1:]
+            shapes[blocks] = (trees[0] if args.q == 1 else "[" + ",".join(trees) + "]"), slots
+        template, slots = shapes[blocks]
+        parents = _unpack(packed, len(vs))[0]
+        records.append('{"edges":[%s],"skeleton":%s}' % (
+            ",".join(map(edge_text.__getitem__, edges)),
+            template % tuple([text[parents[i]] for i in slots])))
+    print("[" + ",".join(records) + "]")
     return EXIT_OK
 
 
 # --- selfcheck ----------------------------------------------------------------------------
 
 def cmd_selfcheck(args) -> int:
+    # imported here so that no other command loads, or without a bytecode
+    # cache compiles, the self-check suite at start
+    from .checks import DEFAULT_SEED, SELFCHECK_LIMIT, run_selfcheck
     if args.max_n > SELFCHECK_LIMIT:
         print(
             f"selfcheck supports at most {SELFCHECK_LIMIT} vertices "
@@ -234,7 +283,7 @@ def cmd_selfcheck(args) -> int:
     if args.max_n < 1:
         print("max-n must be at least 1", file=sys.stderr)
         return EXIT_BOUND
-    ok = run_selfcheck(args.max_n, seed=args.seed)
+    ok = run_selfcheck(args.max_n, seed=DEFAULT_SEED if args.seed is None else args.seed)
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
@@ -286,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_chk = sub.add_parser("selfcheck", help="run the identity suite")
     p_chk.add_argument("--max-n", type=int, default=4, dest="max_n")
-    p_chk.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p_chk.add_argument("--seed", type=int)
     p_chk.set_defaults(fn=cmd_selfcheck)
 
     return parser

@@ -40,6 +40,13 @@ def check_limit(n: int) -> None:
         )
 
 
+# Bits in one field of a packed tree (trees._supported_forests): a field
+# holds a vertex position, below EXHAUSTIVE_LIMIT, or an attachment count,
+# at most EXHAUSTIVE_LIMIT - 1.  At 4 bits a field is one hex digit, which
+# is how a packed tree is read back.
+FIELD_BITS = (EXHAUSTIVE_LIMIT - 1).bit_length()
+
+
 def edge(u: int, v: int) -> tuple[int, int]:
     """Canonical undirected edge: the pair (lo, hi) with lo < hi."""
     if u == v:

@@ -311,15 +311,24 @@ def csf_y_from_forests(g: Graph) -> dict[SetPartition, int]:
     zero coefficients are omitted.  Only partitions whose blocks all carry
     a supported tree are visited, in canonical order.
     """
+    vertices, terms = _csf_y_terms(g)
+    return {SetPartition(map(vertices.__getitem__, blocks)): c for blocks, c in terms}
+
+
+def _csf_y_terms(g: Graph):
+    """The ``mask_vertices`` table of g and the nonzero terms of
+    ``csf_y_from_forests``, as (block masks, coefficient) pairs in canonical
+    order."""
     n = len(g.vertices)
     trees = supported_tree_sums(g, lambda c: 1, 1)
     vertices = mask_vertices(sorted(g.vertices))
-    out: dict[SetPartition, int] = {}
-    for blocks in supported_partitions(trees, vertices, (1 << n) - 1):
-        ways = math.prod(trees[b] for b in blocks)
-        part = SetPartition(vertices[b] for b in blocks)
-        out[part] = ways if (n - len(blocks)) % 2 == 0 else -ways
-    return out
+
+    def terms():
+        for blocks in supported_partitions(trees, vertices, (1 << n) - 1):
+            ways = math.prod(map(trees.__getitem__, blocks))
+            yield blocks, ways if (n - len(blocks)) % 2 == 0 else -ways
+
+    return vertices, terms()
 
 
 def csf_y_by_subsets(g: Graph) -> dict[SetPartition, int]:

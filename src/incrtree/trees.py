@@ -21,14 +21,20 @@ Listing does not walk them either.  The supported trees and forests are
 read off the nonzero entries of the count table, each with its attachment
 counts and smallest attachment edges, so past the table the cost is in
 proportion to the output; the fibers and the broken-circuit-free forests
-come from the same stream.
+come from the same stream.  Each tree on the stream is one int of 4-bit
+fields: every non-root vertex's parent position in the high fields, lower
+positions more significant, and its attachment count and the far end of
+its smallest attachment edge in fields below.  Joining trees is an OR, a
+forest is the OR of its trees, and as the trees on one vertex set differ
+first in a parent, sorting their ints sorts them by parent vector, the
+``increasing_trees`` order.
 """
 
 from __future__ import annotations
 
 import itertools
 
-from .graphs import Graph, SetPartition, check_limit, edge, link
+from .graphs import FIELD_BITS, Graph, SetPartition, check_limit, edge, link
 
 
 class RootedTree:
@@ -334,61 +340,88 @@ def supported_partitions(sums, vertices, mask: int, head: tuple = (),
 
 def _supported_forests(g: Graph, q: int | None = None):
     """Stream the supported increasing forests of g off its count table, in
-    ``supported_increasing_forests`` order.
+    ``supported_increasing_forests`` order, as pairs (blocks, packed): the
+    block masks by ascending minimum and the forest packed into one int.
 
-    A forest is a tuple of trees, one per block by ascending minimum.  A
-    tree is a tuple (root, vertices, parents, counts, edges) whose last four
-    entries run over its non-root vertices v ascending: v, its parent, the
-    number c of its attachment edges in g, and the smallest of them, the
-    edge ``min_attachment_tree`` keeps.
+    Packed layout, for n vertices at positions 0..n-1 (vertex order) and
+    fields of FIELD_BITS bits: three sections of n fields, position i in
+    field n-1-i of each, so lower positions are more significant.  The top
+    section holds each non-root vertex's parent position, the middle one
+    its attachment count c >= 1 in g, the bottom one the position of the
+    far end of its smallest attachment edge, the edge ``min_attachment_tree``
+    keeps.  Roots hold zero in all three, so a nonzero count marks a
+    non-root vertex (``_unpack`` reads the fields back).  Trees on disjoint
+    blocks fill disjoint fields, so a forest is the sum (the OR) of its
+    block ints.
 
     The trees on a mask S follow the ``supported_tree_sums`` recursion: with
     r = min S and low = min(S - r), each subtree B of low with an edge from
     r and nonzero counts on B and S - B hangs B's trees under r beside the
-    trees of S - B.  Every branch yields, so past the table the cost is in
-    proportion to the output.  Sorting a block's trees on their parent
-    vectors gives the ``increasing_trees`` order.
+    trees of S - B, each new tree ``tb | ts | made`` with ``made`` the
+    fields of low.  Every branch yields, so past the table the cost is in
+    proportion to the output.  All trees on one block share their non-root
+    positions and differ in some parent, so comparing their ints compares
+    their parent vectors, first vertex first: one ``sorted()`` gives the
+    ``increasing_trees`` order.
     """
     vs, adj = _adjacency_masks(g)
+    n = len(vs)
     sums = supported_tree_sums(g, lambda c: 1, 1)
-    grown: dict[int, list] = {}
+    grown: dict[int, list[int]] = {}
 
     def grow(s):
-        # the trees on s, each a tuple of (v, parent, c, edge) in the order made
+        # the packed trees on s, in the order made
         if s in grown:
             return grown[s]
         root = s & -s
         below = s ^ root
         if not below:
-            return [()]
+            return [0]
         low = below & -below
         near = adj[root.bit_length() - 1]
-        r, v = vs[root.bit_length() - 1], vs[low.bit_length() - 1]
+        at = (n - low.bit_length()) * FIELD_BITS  # low's field in the bottom section
+        parent = (root.bit_length() - 1) << (at + 2 * n * FIELD_BITS)
         out = []
         for extra in submasks(below ^ low):
             b = low | extra
             hits = near & b
             if hits and sums[b] and sums[s ^ b]:
-                e = (r, vs[(hits & -hits).bit_length() - 1])
-                made = ((v, r, hits.bit_count(), e),)
+                made = (parent | hits.bit_count() << (at + n * FIELD_BITS)
+                        | ((hits & -hits).bit_length() - 1) << at)
                 rest = grow(s ^ b)
-                out += [tb + ts + made for tb in grow(b) for ts in rest]
+                out += [tb | ts | made for tb in grow(b) for ts in rest]
         grown[s] = out
         return out
 
-    ordered: dict[int, list] = {}
+    ordered: dict[int, list[int]] = {}
 
     def block_trees(b):
         if b not in ordered:
-            columns = [tuple(zip(*sorted(t))) or ((),) * 4 for t in grow(b)]
-            columns.sort(key=lambda c: c[1])
-            root = (vs[(b & -b).bit_length() - 1],)
-            ordered[b] = [root + c for c in columns]
+            ordered[b] = sorted(grow(b))
         return ordered[b]
 
-    vertices = mask_vertices(vs)
-    for blocks in supported_partitions(sums, vertices, len(vertices) - 1, q=q):
-        yield from itertools.product(*map(block_trees, blocks))
+    for blocks in supported_partitions(sums, mask_vertices(vs), (1 << n) - 1, q=q):
+        for packed in map(sum, itertools.product(*map(block_trees, blocks))):
+            yield blocks, packed
+
+
+# The digits _unpack writes: a field of FIELD_BITS = 4 bits is one hex digit.
+_DIGITS = "0123456789abcdef"
+
+
+def _unpack(packed: int, n: int) -> tuple[str, str, str]:
+    """The parent, count and neighbour columns of a packed tree or forest on
+    n positions (``_supported_forests``), each a string with one hex digit
+    per position.  A position holds a non-root vertex exactly when its count
+    digit is not "0"; its smallest attachment edge joins its parent to its
+    neighbour.  ``_digit_map`` turns the digits into values."""
+    digits = "%0*x" % (3 * n, packed)
+    return digits[:n], digits[n:2 * n], digits[2 * n:]
+
+
+def _digit_map(values) -> dict[str, object]:
+    """Map the digit of each field value k to values[k]."""
+    return dict(zip(_DIGITS, values))
 
 
 def supported_increasing_forests(g: Graph, q: int | None = None):
@@ -402,6 +435,11 @@ def supported_increasing_forests(g: Graph, q: int | None = None):
     one count table of g, so past the table the cost is in proportion to
     the output.
     """
-    for forest in _supported_forests(g, q):
-        yield RootedForest(RootedTree(root, zip(vertices, parents))
-                           for root, vertices, parents, _, _ in forest)
+    vs = sorted(g.vertices)
+    label = _digit_map(vs)
+    vertices = mask_vertices(vs)
+    for blocks, packed in _supported_forests(g, q):
+        parents, counts, _ = _unpack(packed, len(vs))
+        parent = {v: label[p] for v, p, c in zip(vs, parents, counts) if c != "0"}
+        yield RootedForest(RootedTree(vertices[b][0], {v: parent[v] for v in vertices[b][1:]})
+                           for b in blocks)

@@ -135,7 +135,9 @@ COMMANDS = [  # None stands for the graph file or "-"
     ["invariants", "eta", None],
     ["invariants", "chromatic", None, "--method", "trees"],
     ["invariants", "csf-y", None],
+    ["invariants", "csf-y", None, "--method", "trees"],
     ["fibers", None],
+    ["fibers", None, "--trees-only"],
     ["fibers", None, "--list", "--trees-only"],
     ["fibers", None, "--table"],
     ["bcf", None],
@@ -189,7 +191,8 @@ def test_cli_exit_code_contract(argv, data, via_stdin):
     assert "Traceback" not in err
     if code == 0:
         if "--table" not in argv:
-            json.loads(out)
+            # stdout written as text must be exactly what json.dumps writes
+            assert json.dumps(json.loads(out), separators=(",", ":")) + "\n" == out
     else:
         assert not out
 
@@ -320,6 +323,7 @@ def test_fiber_records_follow_the_paper(graphfile, capsys, g):
 
 # Stdout digests recorded from the implementation that walked every
 # increasing tree and every edge subset; each covers the six graphs in order.
+# The csf-y digests were recorded before the terms were written as text.
 GOLDEN_GRAPHS = [(4, 1), (5, 2), (5, 3), (6, 4), (6, 5), (7, 6)]  # (n, seed)
 GOLDEN_DIGESTS = {
     "fibers": "b52aae66a8cb378a0885e306a412fa08e0f6c8b9dc94a5f8c264e64e4966eaf0",
@@ -334,19 +338,47 @@ GOLDEN_DIGESTS = {
     "bcf --q 3": "a32f683e248fd1535b3e42696a54ec46ddb83a01b4a9f3579e9e550c3d78ef3c",
     "bcf --table": "72360bd6c386efd0d2973fb41caaf9dfe9202593ec7088115ee668e81a317699",
     "bcf --q 0": "b18664a06ed0bd101b25a7b58229152a46f6c4b013207f0721ed49960f9ec7a2",
+    "invariants csf-y --method trees":
+        "965c897057fbeff8c1e18b0587be033d7e2fd9da6f63ec71ac543b98fb623523",
+    "invariants csf-y --method oracle":
+        "d4a585e5e52e48754f8e7549f4f08b06a6b216fb0b5ad3ea13e16cd3680f3ad3",
+    "invariants csf-y --method both":
+        "b994c9544911561a697cdc7726e79a7108db2ad55e2b6260d84bf4c7ba64b5ac",
+    "invariants csf-y --table":
+        "d89f09662073fe28ed01706ccfddf0d40a694ec411777a29d054cc0e5bcd17ce",
 }
 
 
 @pytest.mark.parametrize("command", GOLDEN_DIGESTS)
 def test_stream_output_matches_golden_digest(graphfile, capsys, command):
-    command, *flags = command.split()
+    # the words before the first flag come before the graph file
+    words = command.split()
+    at = next((i for i, w in enumerate(words) if w.startswith("--")), len(words))
     digest = hashlib.sha256()
     for n, seed in GOLDEN_GRAPHS:
         g = random_connected_graph(n, random.Random(seed))
-        code, out, _ = run(capsys, command, graphfile(format_graph(g)), *flags)
+        code, out, _ = run(capsys, *words[:at], graphfile(format_graph(g)), *words[at:])
         assert code == 0
         digest.update(out.encode())
-    assert digest.hexdigest() == GOLDEN_DIGESTS[" ".join([command, *flags])]
+    assert digest.hexdigest() == GOLDEN_DIGESTS[command]
+
+
+def test_fibers_on_the_16_vertex_fan_matches_golden_digest(graphfile, capsys):
+    """Vertex 1 joined to 2..16 plus the path 2-3-...-16 fills every field
+    of a packed tree: position 15, and an attachment count of 15 below
+    vertex 2 on the path tree, whose fiber has 2^15 - 1 members.  Digest
+    recorded before the trees were packed."""
+    fan = Graph(16, [(1, v) for v in range(2, 17)] + [(v, v + 1) for v in range(2, 16)])
+    code, out, _ = run(capsys, "fibers", graphfile(format_graph(fan)))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "d8315b3bf16f1a0901df14bffd22b18f9931b0dae3e634fbd3b19c01bd880c86"
+    records = json.loads(out)
+    assert len(records) == count_supported_trees(fan) == 16384
+    path = {"root": 1, "parent": {str(v + 1): v for v in range(1, 16)}}
+    (on_path,) = [r for r in records if r["tree"] == path]
+    assert on_path["fiber_size"] == "32767"
+    assert on_path["edge_choices"] == {"2": 15, **{str(v): 1 for v in range(3, 17)}}
 
 
 # --- bcf ------------------------------------------------------------------------------

@@ -5,12 +5,14 @@ from math import factorial
 import pytest
 from hypothesis import given, strategies as st
 
-from incrtree.graphs import (EXHAUSTIVE_LIMIT, BoundExceededError, Graph,
+from incrtree.brokencircuits import bcf_subforests
+from incrtree.graphs import (EXHAUSTIVE_LIMIT, FIELD_BITS, BoundExceededError, Graph,
                              connected_graphs, random_connected_graph,
                              random_graph, set_partitions_of)
-from incrtree.checks import check_tree_stream
-from incrtree.trees import (RootedForest, RootedTree, count_supported_trees,
-                            increasing_trees, supported_increasing_forests)
+from incrtree.checks import _bcf_by_subsets, check_tree_stream
+from incrtree.trees import (RootedForest, RootedTree, _supported_forests, _unpack,
+                            count_supported_trees, increasing_trees,
+                            supported_increasing_forests)
 
 
 def path_tree(*vertices):
@@ -333,3 +335,30 @@ def test_forest_stream_order_matches_filtered_partitions():
         for q in (None, 0, 1, 2, 3, len(g.vertices) + 1):
             assert list(supported_increasing_forests(g, q)) == \
                 forests_in_stream_order(g, q)
+
+
+def test_streams_on_a_vertex_set_with_gaps():
+    """Where positions and vertex labels differ, the packed streams still
+    read back as the filter oracles: trees, forests in order, and the BCF
+    forests of the subset walk."""
+    rng = random.Random(1105)
+    for g in (Graph.complete(12), random_graph(12, rng), random_connected_graph(12, rng)):
+        h = g.restrict({2, 5, 7, 9, 11})
+        check_tree_stream(h)
+        for q in (None, 1, 2, 3):
+            assert list(supported_increasing_forests(h, q)) == forests_in_stream_order(h, q)
+            assert list(bcf_subforests(h, q)) == list(_bcf_by_subsets(h, q))
+
+
+def test_packed_fields_fit_positions_and_counts():
+    """A field is one hex digit and holds every position and count below
+    EXHAUSTIVE_LIMIT.  The star on 16 vertices has one supported tree, the
+    star, which reads back with the root's fields zero, every parent at
+    position 0 with a count of 1, and every smallest attachment edge ending
+    at the vertex itself, position 15 included."""
+    assert FIELD_BITS == 4 and 1 << FIELD_BITS >= EXHAUSTIVE_LIMIT
+    n = EXHAUSTIVE_LIMIT
+    star = Graph(n, [(1, v) for v in range(2, n + 1)])
+    ((blocks, packed),) = _supported_forests(star, 1)
+    assert blocks == ((1 << n) - 1,)
+    assert _unpack(packed, n) == ("0" * n, "0" + "1" * (n - 1), "0123456789abcdef")
