@@ -28,10 +28,10 @@ from .trees import (mask_vertices, submasks, supported_partitions,
 
 
 class IntPoly:
-    """Exact-integer polynomial in one variable, lowest degree first.
-
-    Canonical form never has trailing zero coefficients, so equality of
-    coefficient tuples is equality of polynomials.
+    """Exact-integer polynomial in one variable, lowest degree first: what
+    the polynomial routes return, and the oracles' arithmetic.  Canonical
+    form never has trailing zero coefficients, so equality of coefficient
+    tuples is equality of polynomials.
     """
 
     __slots__ = ("coeffs",)
@@ -122,9 +122,6 @@ class IntPoly:
     def __hash__(self):
         return hash(self.coeffs)
 
-    def __bool__(self):
-        return bool(self.coeffs)
-
     def __repr__(self):
         return f"IntPoly({list(self.coeffs)})"
 
@@ -167,6 +164,12 @@ def _edge_subset_table(g: Graph) -> dict[bytes, int]:
     return table
 
 
+def _poly(counts: int, g: Graph) -> IntPoly:
+    """The polynomial of counts packed at bit k*w, w = |E| + 1, each < 2^w."""
+    w = len(g.edges) + 1
+    return IntPoly((counts >> k * w) & ((1 << w) - 1) for k in range(w))
+
+
 def _signed(counts: int, g: Graph) -> int:
     """Sum over k of (-1)^k count_k for packed counts P(2^w), P(t) = sum of
     count_k t^k: as 2^w = -1 mod 2^w + 1, that is P(-1) mod 2^w + 1, and
@@ -188,9 +191,7 @@ def connected_subgraph_poly(g: Graph) -> IntPoly:
     """
     if not g.is_connected():
         raise NotConnectedError("the connected-subgraph polynomial needs a connected graph")
-    counts = _edge_subset_table(g)[bytes(len(g.vertices))]
-    w = len(g.edges) + 1
-    return IntPoly((counts >> k * w) & ((1 << w) - 1) for k in range(w))
+    return _poly(_edge_subset_table(g)[bytes(len(g.vertices))], g)
 
 
 def connected_subgraph_poly_from_trees(g: Graph) -> IntPoly:
@@ -199,15 +200,15 @@ def connected_subgraph_poly_from_trees(g: Graph) -> IntPoly:
     Each supported tree contributes the product over its non-root vertices
     of (1+t)^choices - 1, where choices counts the attachment edges present
     in g; the products telescope exactly over the fibers of ``skeleton``.
-    The sum is the full-set entry of ``supported_tree_sums``, about 3^n
-    polynomial products; ``checks`` keeps the per-tree sum as a
-    definition-level cross-check.
+    The sum is the full-set entry of ``supported_tree_sums`` at t = 2^w,
+    packed as in the edge-subset table.  No slot carries: a coefficient of
+    any weight(c) * T(B) * T(S - B) counts distinct k-edge subsets of g,
+    at most C(|E|, k) < 2^w.  ``checks`` keeps the per-tree sum in IntPoly.
     """
     if not g.is_connected():
         raise NotConnectedError("the connected-subgraph polynomial needs a connected graph")
-    one = IntPoly.one()
-    one_plus_t = IntPoly((1, 1))
-    return supported_tree_sums(g, lambda c: one_plus_t ** c - one, one)[-1]
+    t = 1 << (len(g.edges) + 1)
+    return _poly(supported_tree_sums(g, lambda c: (1 + t) ** c - 1)[-1], g)
 
 
 # ---------------------------------------------------------------------------
@@ -278,7 +279,7 @@ def _forest_counts(g: Graph, grow, empty) -> dict:
     so the whole table costs about 3^n block choices.
     """
     n = len(g.vertices)
-    trees = supported_tree_sums(g, lambda c: 1, 1)
+    trees = supported_tree_sums(g, lambda c: 1)
 
     @functools.cache
     def split(mask: int) -> dict:
@@ -320,7 +321,7 @@ def _csf_y_terms(g: Graph):
     ``csf_y_from_forests``, as (block masks, coefficient) pairs in canonical
     order."""
     n = len(g.vertices)
-    trees = supported_tree_sums(g, lambda c: 1, 1)
+    trees = supported_tree_sums(g, lambda c: 1)
     vertices = mask_vertices(sorted(g.vertices))
 
     def terms():

@@ -12,10 +12,10 @@ trees exist only for connected G, and a supported tree need not be a
 subgraph of G.
 
 Counting never walks the (m-1)! trees: a vertex's attachment set depends
-only on its parent and its subtree's vertex set, so every sum over
-supported trees of per-vertex weights is one subset recursion
-(``supported_tree_sums``), about 3^m steps.  Forests follow by splitting
-off the block that holds the minimum vertex.
+only on its parent and its subtree's vertex set, so a sum over supported
+trees of the product of int weight(c) over non-root vertices, each with
+c attachment edges in G, is one subset recursion (``supported_tree_sums``)
+of about 3^m/4 terms; forests split off the minimum vertex's block.
 
 Listing does not walk them either.  The supported trees and forests are
 read off the nonzero entries of the count table, each with its attachment
@@ -251,16 +251,16 @@ def _adjacency_masks(g: Graph) -> tuple[list[int], list[int]]:
     return vs, adj
 
 
-def supported_tree_sums(g: Graph, weight, one) -> list:
+def supported_tree_sums(g: Graph, weight) -> list[int]:
     """Weighted sums over supported increasing trees, for every vertex subset.
 
     Bit i of a mask stands for the i-th smallest vertex of g.  Entry S is
     the sum over the increasing trees on S supported by g restricted to S
-    of the product, over non-root vertices v, of weight(c), where c >= 1
-    counts v's attachment edges present in g; ``one`` fixes the ring and
-    the empty mask holds zero.  As v's weight depends only on its parent
-    and its subtree's vertex set, splitting off the subtree B that holds
-    the smallest non-root vertex of S gives, with r = min S,
+    of the product, over non-root vertices v, of the int weight(c), where
+    c >= 1 counts v's attachment edges present in g; the empty mask holds
+    0.  As v's weight depends only on its parent and its subtree's vertex
+    set, splitting off the subtree B that holds the smallest non-root
+    vertex of S gives, with r = min S,
 
         T(S) = sum over B of weight(|N(r) & B|) * T(B) * T(S - B),
 
@@ -268,18 +268,17 @@ def supported_tree_sums(g: Graph, weight, one) -> list:
     """
     adj = _adjacency_masks(g)[1]
     n = len(adj)
-    weights = [None] + [weight(c) for c in range(1, n)]
-    zero = one - one
-    sums = [zero] * (1 << n)
+    weights = [0] + [weight(c) for c in range(1, n)]
+    sums = [0] * (1 << n)
     for s in range(1, 1 << n):
         root = s & -s
         below = s ^ root
         if not below:
-            sums[s] = one
+            sums[s] = 1
             continue
         low = below & -below
         near = adj[root.bit_length() - 1]
-        acc = zero
+        acc = 0
         for extra in submasks(below ^ low):
             b = low | extra
             c = (near & b).bit_count()
@@ -295,7 +294,7 @@ def count_supported_trees(g: Graph) -> int:
     The full-set entry of ``supported_tree_sums`` with every weight 1; it
     agrees with filtering increasing_trees by is_supported_by.
     """
-    return supported_tree_sums(g, lambda c: 1, 1)[-1]
+    return supported_tree_sums(g, lambda c: 1)[-1]
 
 
 def mask_vertices(vs) -> list[tuple[int, ...]]:
@@ -366,7 +365,7 @@ def _supported_forests(g: Graph, q: int | None = None):
     """
     vs, adj = _adjacency_masks(g)
     n = len(vs)
-    sums = supported_tree_sums(g, lambda c: 1, 1)
+    sums = supported_tree_sums(g, lambda c: 1)
     grown: dict[int, list[int]] = {}
 
     def grow(s):

@@ -1,5 +1,5 @@
 import random
-from math import factorial
+from math import comb, factorial
 
 import pytest
 
@@ -98,7 +98,7 @@ def test_forest_routes_respect_limit():
                   lambda g: list(all_graphs(g.n)),
                   lambda g: list(connected_graphs(g.n)),
                   lambda g: list(increasing_trees(g.vertices)),
-                  lambda g: supported_tree_sums(g, lambda c: 1, 1),
+                  lambda g: supported_tree_sums(g, lambda c: 1),
                   lambda g: list(supported_increasing_forests(g)),
                   connected_subgraph_poly, connected_subgraph_poly_from_trees,
                   chromatic_poly_by_subsets, csf_y_by_subsets, csf_x_by_subsets,
@@ -253,6 +253,26 @@ def test_eta_c12():
     c12 = Graph(12, [(i, i % 12 + 1) for i in range(1, 13)])
     assert connected_subgraph_poly_from_trees(c12) == \
         IntPoly.x_power(12) + IntPoly.x_power(11, 12)
+
+
+def test_eta_complete_graphs_closed_form():
+    """eta(K_n) for n <= 12 by the exponential formula: the k-edge graphs on
+    n labelled vertices split by the j-vertex component holding vertex 1,
+
+        C(N_n, k) = sum over j <= n of C(n-1, j-1) sum over i of
+                    c(j, i) * C(N_(n-j), k-i),  N_m = C(m, 2),
+
+    solved for c(n, k).  K12's coefficients reach 63 bits, which tests the
+    packed slots of the tree route near their width."""
+    edges = [comb(m, 2) for m in range(13)]
+    c = {}
+    for n in range(1, 13):
+        c[n] = [comb(edges[n], k) - sum(
+            comb(n - 1, j - 1) * c[j][i] * comb(edges[n - j], k - i)
+            for j in range(1, n) for i in range(min(k, edges[j]) + 1))
+            for k in range(edges[n] + 1)]
+        assert connected_subgraph_poly_from_trees(K(n)) == IntPoly(c[n])
+    assert max(c[12]).bit_length() == 63
 
 
 def test_csf_x_k10_is_shape_collapse():
