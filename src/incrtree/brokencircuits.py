@@ -24,7 +24,7 @@ import itertools
 
 from .graphs import Graph
 from .skeleton import skeleton
-from .trees import RootedTree, _digit_map, _supported_forests, _unpack
+from .trees import RootedTree, _supported_forests
 
 
 def _check_spanning_subtree(t: Graph, g: Graph) -> None:
@@ -161,18 +161,16 @@ def spanning_subtrees(g: Graph):
 
 def _bcf_forests(g: Graph, q: int | None = None) -> list:
     """The broken-circuit-free spanning subforests of g, in ``bcf_subforests``
-    order, as pairs (edges, forest): the sorted edge list and the supported
-    increasing forest, a ``_supported_forests`` pair (blocks, packed), whose
-    ``min_attachment_tree`` image it is.  By the bijection that forest is
-    also the image's skeleton forest."""
+    order, as triples (edges, blocks, parents): the sorted edge list, and
+    the block masks and parent column (``_supported_forests``) of the
+    supported increasing forest whose ``min_attachment_tree`` image it is.
+    By the bijection that forest is also the image's skeleton forest."""
     vs = sorted(g.vertices)
-    label = _digit_map(vs)
     images = []
-    for forest in _supported_forests(g, q):
-        parents, counts, ends = _unpack(forest[1], len(vs))
-        edges = [(label[p], label[e]) for p, c, e in zip(parents, counts, ends) if c != "0"]
+    for blocks, parents, counts, ends in _supported_forests(g, q):
+        edges = [(vs[p], vs[e]) for p, c, e in zip(parents, counts, ends) if c]
         edges.sort()
-        images.append((edges, forest))
+        images.append((edges, blocks, parents))
     images.sort()
     return images
 
@@ -188,5 +186,5 @@ def bcf_subforests(g: Graph, q: int | None = None):
     each comes off the subset table as the smallest attachment edge below
     every non-root vertex.
     """
-    for edges, _ in _bcf_forests(g, q):
+    for edges, _, _ in _bcf_forests(g, q):
         yield g.spanning(edges)

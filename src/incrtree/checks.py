@@ -25,7 +25,7 @@ from .invariants import (IntPoly, chromatic_poly_by_deletion_contraction,
                          supported_forest_counts)
 from .skeleton import (attachments_cover, enumerate_fiber, fiber_edge_sets,
                        fiber_size, skeleton, splits_match)
-from .trees import (RootedTree, _supported_forests, _unpack, count_supported_trees,
+from .trees import (RootedTree, _supported_forests, count_supported_trees,
                     increasing_trees, supported_increasing_forests)
 
 SELFCHECK_LIMIT = 6
@@ -193,11 +193,10 @@ def check_tree_stream(g):
     want = [t for t in increasing_trees(g.vertices) if t.is_supported_by(g)]
     vs = sorted(g.vertices)
     got = []
-    for _, packed in _supported_forests(g, 1):
-        columns = _unpack(packed, len(vs))
-        if any(column[0] != "0" for column in columns):
+    for _, *columns in _supported_forests(g, 1):
+        if any(column[0] for column in columns):
             _fail("tree stream sets a field of the root")
-        parents, counts, ends = ([int(d, 16) for d in column[1:]] for column in columns)
+        parents, counts, ends = (column[1:] for column in columns)
         got.append((RootedTree(vs[0], zip(vs[1:], (vs[p] for p in parents))),
                     [(c, (vs[p], vs[e])) for p, c, e in zip(parents, counts, ends)]))
     if [tree for tree, _ in got] != want:

@@ -7,15 +7,17 @@ circuit free subtrees with their collapsed trees, and ``selfcheck`` runs
 the identity suite over small graphs.
 
 Exit codes: 0 success, 1 self-check failure, 2 parse error, 3 connectivity
-precondition, 4 size bound exceeded.  All JSON output is compact and byte
-deterministic for a fixed input and flags.
+precondition, 4 size bound exceeded, 141 stdout closed by its reader.  All
+JSON output is compact and byte deterministic for a fixed input and flags.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -26,14 +28,21 @@ from .invariants import (_csf_y_terms, chromatic_poly_by_subsets,
                          chromatic_poly_from_forests, connected_subgraph_poly,
                          connected_subgraph_poly_from_trees, csf_x_by_subsets,
                          csf_x_from_forests, csf_y_by_subsets)
-from .skeleton import enumerate_fiber, skeleton
-from .trees import RootedTree, _digit_map, _supported_forests, _unpack
+from .skeleton import enumerate_fiber, fiber_edge_sets, skeleton
+from .trees import RootedTree, _supported_forests
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_PARSE = 2
 EXIT_DISCONNECTED = 3
 EXIT_BOUND = 4
+EXIT_PIPE = 141  # 128 + SIGPIPE, as a shell reports a process the signal ended
+
+# fibers --list and bcf --breaks-all refuse with EXIT_BOUND to list more
+# items than this.  On a 2-core Xeon with Python 3.11, bcf --breaks-all
+# walks about 13k edge sets a second on K7 and fibers --list lists about
+# 45k members a second on K6, so a run at the limit ends within about 5 s.
+LISTING_LIMIT = 60_000
 
 
 class CliError(Exception):
@@ -183,42 +192,66 @@ def _tree_template(root, keys) -> str:
     return f'{{"root":{root},"parent":{_slots(keys)}}}'
 
 
+def _check_listing(what: str, count: int):
+    """Refuse, before anything is written, a listing of more than
+    LISTING_LIMIT items; what names the command and its items."""
+    if count > LISTING_LIMIT:
+        raise CliError(EXIT_BOUND,
+                       f"{what}: {count}, more than the listing limit of {LISTING_LIMIT}")
+
+
+def _fiber_members(g, tree, trees_only) -> list:
+    """The members of tree's fiber as sorted edge lists, in ``enumerate_fiber``
+    order.  The spanning trees among them take one edge of each vertex's
+    attachment set; as those sets are disjoint, the trees are the product of
+    the sorted sets, in the same order."""
+    if trees_only:
+        members = itertools.product(*map(sorted, fiber_edge_sets(g, tree).values()))
+    else:
+        members = (q.edges for q in enumerate_fiber(g, tree))
+    return [_edges_list(m) for m in members]
+
+
 def cmd_fibers(args) -> int:
     g = _load_graph(args.graphfile)
     _require_connected(g)
     vs = sorted(g.vertices)
     n = len(vs)
-    # A record fills one template from the columns of a packed tree, whose
+    # A record fills one template from the columns of a streamed tree, whose
     # root is at position 0.  Its fiber size and edge choices depend on the
     # count column alone, so that part is filled once per distinct column.
     head = '{"tree":' + _tree_template(vs[0], vs[1:]) + ',"fiber_size":"'
     tail = '%s","edge_choices":' + _slots(vs[1:])
-    label, text = _digit_map(vs), _digit_map(map(str, vs))
-    count = _digit_map(map(str, range(n)))
+    text = list(map(str, vs))
     # one edge per vertex gives the trees; any nonempty subset, all members
-    factor = _digit_map([c if args.trees_only else (1 << c) - 1 for c in range(n)])
+    factor = [c if args.trees_only else (1 << c) - 1 for c in range(n)]
     by_counts = {}  # count column -> fiber size, record text from the size on
-    records = []
-    for _, packed in _supported_forests(g, 1):
-        parents, counts, _ = _unpack(packed, n)
+
+    def tree(parents):
+        return RootedTree(vs[0], zip(vs[1:], map(vs.__getitem__, parents)))
+
+    records, listed, members = [], [], 0
+    for _, parents, counts, _ in _supported_forests(g, 1):
         parents = parents[1:]
         if counts not in by_counts:
             size = math.prod(map(factor.__getitem__, counts[1:]))
-            by_counts[counts] = size, tail % (size, *map(count.__getitem__, counts[1:]))
+            by_counts[counts] = size, tail % (size, *counts[1:])
         size, rest = by_counts[counts]
-        if args.table or args.list:
-            tree = RootedTree(vs[0], zip(vs[1:], map(label.__getitem__, parents)))
         if args.table:
-            print(f"tree {tree.to_json_obj()}  fiber_size {size}")
+            print(f"tree {tree(parents).to_json_obj()}  fiber_size {size}")
             continue
-        record = head % tuple(map(text.__getitem__, parents)) + rest
+        records.append(head % tuple(map(text.__getitem__, parents)) + rest)
         if args.list:
-            record += ',"members":' + _json([_edges_list(q.edges)
-                                             for q in enumerate_fiber(g, tree)
-                                             if not args.trees_only or len(q.edges) == n - 1])
-        records.append(record + "}")
-    if not args.table:
-        print("[" + ",".join(records) + "]")
+            listed.append(parents)
+            members += size
+    if args.table:
+        return EXIT_OK
+    if args.list:
+        _check_listing("fibers --list members", members)
+        records = [record + ',"members":'
+                   + _json(_fiber_members(g, tree(parents), args.trees_only))
+                   for record, parents in zip(records, listed)]
+    print("[" + ",".join(record + "}" for record in records) + "]")
     return EXIT_OK
 
 
@@ -228,6 +261,8 @@ def cmd_bcf(args) -> int:
     g = _load_graph(args.graphfile)
     _require_connected(g)
     if args.breaks_all:
+        _check_listing("bcf --breaks-all edge sets",
+                       math.comb(len(g.edges), len(g.vertices) - 1))
         records = [{"edges": _edges_list(t.edges),
                     "breaks": _edges_list(breaks_by_circuits(t, g)),
                     "skeleton": skeleton(t).to_json_obj()}
@@ -240,17 +275,17 @@ def cmd_bcf(args) -> int:
         return EXIT_OK
     forests = _bcf_forests(g, args.q)
     if args.table:
-        for edges, _ in forests:
+        for edges, _, _ in forests:
             print(f"edges {[list(e) for e in edges]}")
         return EXIT_OK
     # each BCF forest comes with the supported forest it is the image of,
     # which is its skeleton: written as a tree for q = 1, else as a list
     vs = sorted(g.vertices)
-    text = _digit_map(map(str, vs))
+    text = list(map(str, vs))
     edge_text = {e: "[%d,%d]" % e for e in g.edges}
     shapes = {}  # blocks -> skeleton template, positions filling its slots
     records = []
-    for edges, (blocks, packed) in forests:
+    for edges, blocks, parents in forests:
         if blocks not in shapes:
             trees, slots = [], []
             for b in blocks:
@@ -259,7 +294,6 @@ def cmd_bcf(args) -> int:
                 slots += at[1:]
             shapes[blocks] = (trees[0] if args.q == 1 else "[" + ",".join(trees) + "]"), slots
         template, slots = shapes[blocks]
-        parents = _unpack(packed, len(vs))[0]
         records.append('{"edges":[%s],"skeleton":%s}' % (
             ",".join(map(edge_text.__getitem__, edges)),
             template % tuple([text[parents[i]] for i in slots])))
@@ -357,7 +391,15 @@ def main(argv=None) -> int:
 
 
 def entry():
-    raise SystemExit(main())
+    try:
+        code = main()
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
+    except BrokenPipeError:
+        # the reader left early, as `| head` does: point fd 1 at devnull so
+        # the flush at exit stays quiet, and exit as SIGPIPE would
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_PIPE
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":

@@ -14,7 +14,9 @@ from __future__ import annotations
 import itertools
 
 # Exhaustive enumerations refuse vertex sets larger than this instead of
-# silently running forever.
+# silently running forever.  At most 256, so that a vertex position or an
+# attachment count fits in a byte: the oracle table's keys and the packed
+# trees rely on it.
 EXHAUSTIVE_LIMIT = 16
 
 # parse_graph refuses larger vertex counts before building the vertex set.
@@ -38,13 +40,6 @@ def check_limit(n: int) -> None:
         raise BoundExceededError(
             f"{n} vertices exceeds the exhaustive enumeration bound of {EXHAUSTIVE_LIMIT}"
         )
-
-
-# Bits in one field of a packed tree (trees._supported_forests): a field
-# holds a vertex position, below EXHAUSTIVE_LIMIT, or an attachment count,
-# at most EXHAUSTIVE_LIMIT - 1.  At 4 bits a field is one hex digit, which
-# is how a packed tree is read back.
-FIELD_BITS = (EXHAUSTIVE_LIMIT - 1).bit_length()
 
 
 def edge(u: int, v: int) -> tuple[int, int]:

@@ -129,8 +129,7 @@ class IntPoly:
 # ---------------------------------------------------------------------------
 # edge-subset table shared by the oracle routes
 
-# One-byte strings for bytes.replace; a label is a vertex position below
-# EXHAUSTIVE_LIMIT, so it fits in a byte.
+# One-byte strings for bytes.replace, one per vertex position.
 _BYTE = [bytes((i,)) for i in range(256)]
 
 

@@ -21,20 +21,25 @@ Listing does not walk them either.  The supported trees and forests are
 read off the nonzero entries of the count table, each with its attachment
 counts and smallest attachment edges, so past the table the cost is in
 proportion to the output; the fibers and the broken-circuit-free forests
-come from the same stream.  Each tree on the stream is one int of 4-bit
-fields: every non-root vertex's parent position in the high fields, lower
-positions more significant, and its attachment count and the far end of
-its smallest attachment edge in fields below.  Joining trees is an OR, a
-forest is the OR of its trees, and as the trees on one vertex set differ
-first in a parent, sorting their ints sorts them by parent vector, the
-``increasing_trees`` order.
+come from the same stream.  Inside this module each tree is one int of
+one-byte fields: every non-root vertex's parent position in the high
+fields, lower positions more significant, and its attachment count and the
+far end of its smallest attachment edge in fields below.  Joining trees is
+an OR, a forest is the OR of its trees, and as the trees on one vertex set
+differ first in a parent, sorting their ints sorts them by parent vector,
+the ``increasing_trees`` order.  The stream hands each forest out as three
+byte columns, one item per vertex position.
 """
 
 from __future__ import annotations
 
 import itertools
 
-from .graphs import FIELD_BITS, Graph, SetPartition, check_limit, edge, link
+from .graphs import Graph, SetPartition, check_limit, edge, link
+
+# Bits in one field of a packed tree: a byte holds any vertex position or
+# attachment count (see EXHAUSTIVE_LIMIT).
+_FIELD_BITS = 8
 
 
 class RootedTree:
@@ -339,19 +344,19 @@ def supported_partitions(sums, vertices, mask: int, head: tuple = (),
 
 def _supported_forests(g: Graph, q: int | None = None):
     """Stream the supported increasing forests of g off its count table, in
-    ``supported_increasing_forests`` order, as pairs (blocks, packed): the
-    block masks by ascending minimum and the forest packed into one int.
+    ``supported_increasing_forests`` order, as tuples (blocks, parents,
+    counts, ends): the block masks by ascending minimum, then three columns
+    of type bytes with one item per vertex position (vertex order).  Item i of
+    each is position i's parent position, its attachment count c >= 1 in g
+    and the position of the far end of its smallest attachment edge, the
+    edge ``min_attachment_tree`` keeps; a root holds zero in all three, so
+    a nonzero count marks a non-root vertex.
 
-    Packed layout, for n vertices at positions 0..n-1 (vertex order) and
-    fields of FIELD_BITS bits: three sections of n fields, position i in
-    field n-1-i of each, so lower positions are more significant.  The top
-    section holds each non-root vertex's parent position, the middle one
-    its attachment count c >= 1 in g, the bottom one the position of the
-    far end of its smallest attachment edge, the edge ``min_attachment_tree``
-    keeps.  Roots hold zero in all three, so a nonzero count marks a
-    non-root vertex (``_unpack`` reads the fields back).  Trees on disjoint
-    blocks fill disjoint fields, so a forest is the sum (the OR) of its
-    block ints.
+    Inside, a tree is one int of _FIELD_BITS-bit fields in three sections
+    of n fields (parents, counts, ends), position i in field n-1-i of each,
+    so lower positions are more significant and one ``to_bytes`` call
+    splits a forest into its columns.  Trees on disjoint blocks fill
+    disjoint fields, so a forest is the sum (the OR) of its block ints.
 
     The trees on a mask S follow the ``supported_tree_sums`` recursion: with
     r = min S and low = min(S - r), each subtree B of low with an edge from
@@ -378,14 +383,14 @@ def _supported_forests(g: Graph, q: int | None = None):
             return [0]
         low = below & -below
         near = adj[root.bit_length() - 1]
-        at = (n - low.bit_length()) * FIELD_BITS  # low's field in the bottom section
-        parent = (root.bit_length() - 1) << (at + 2 * n * FIELD_BITS)
+        at = (n - low.bit_length()) * _FIELD_BITS  # low's field in the bottom section
+        parent = (root.bit_length() - 1) << (at + 2 * n * _FIELD_BITS)
         out = []
         for extra in submasks(below ^ low):
             b = low | extra
             hits = near & b
             if hits and sums[b] and sums[s ^ b]:
-                made = (parent | hits.bit_count() << (at + n * FIELD_BITS)
+                made = (parent | hits.bit_count() << (at + n * _FIELD_BITS)
                         | ((hits & -hits).bit_length() - 1) << at)
                 rest = grow(s ^ b)
                 out += [tb | ts | made for tb in grow(b) for ts in rest]
@@ -401,26 +406,8 @@ def _supported_forests(g: Graph, q: int | None = None):
 
     for blocks in supported_partitions(sums, mask_vertices(vs), (1 << n) - 1, q=q):
         for packed in map(sum, itertools.product(*map(block_trees, blocks))):
-            yield blocks, packed
-
-
-# The digits _unpack writes: a field of FIELD_BITS = 4 bits is one hex digit.
-_DIGITS = "0123456789abcdef"
-
-
-def _unpack(packed: int, n: int) -> tuple[str, str, str]:
-    """The parent, count and neighbour columns of a packed tree or forest on
-    n positions (``_supported_forests``), each a string with one hex digit
-    per position.  A position holds a non-root vertex exactly when its count
-    digit is not "0"; its smallest attachment edge joins its parent to its
-    neighbour.  ``_digit_map`` turns the digits into values."""
-    digits = "%0*x" % (3 * n, packed)
-    return digits[:n], digits[n:2 * n], digits[2 * n:]
-
-
-def _digit_map(values) -> dict[str, object]:
-    """Map the digit of each field value k to values[k]."""
-    return dict(zip(_DIGITS, values))
+            columns = packed.to_bytes(3 * n, "big")
+            yield blocks, columns[:n], columns[n:2 * n], columns[2 * n:]
 
 
 def supported_increasing_forests(g: Graph, q: int | None = None):
@@ -435,10 +422,8 @@ def supported_increasing_forests(g: Graph, q: int | None = None):
     the output.
     """
     vs = sorted(g.vertices)
-    label = _digit_map(vs)
     vertices = mask_vertices(vs)
-    for blocks, packed in _supported_forests(g, q):
-        parents, counts, _ = _unpack(packed, len(vs))
-        parent = {v: label[p] for v, p, c in zip(vs, parents, counts) if c != "0"}
+    for blocks, parents, counts, _ in _supported_forests(g, q):
+        parent = {v: vs[p] for v, p, c in zip(vs, parents, counts) if c}
         yield RootedForest(RootedTree(vertices[b][0], {v: parent[v] for v in vertices[b][1:]})
                            for b in blocks)

@@ -3,7 +3,10 @@ import hashlib
 import io
 import itertools
 import json
+import math
+import os
 import random
+import subprocess
 import sys
 import tempfile
 import time
@@ -13,11 +16,12 @@ from unittest import mock
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from incrtree.cli import main
+from incrtree import cli
+from incrtree.cli import LISTING_LIMIT, main
 from incrtree.graphs import (MAX_VERTICES, Graph, format_graph,
                              random_connected_graph)
 from incrtree.invariants import connected_subgraph_poly
-from incrtree.trees import count_supported_trees
+from incrtree.trees import count_supported_trees, supported_tree_sums
 
 K3 = "n 3\n1 2\n1 3\n2 3\n"
 K4 = "n 4\n1 2\n1 3\n1 4\n2 3\n2 4\n3 4\n"
@@ -289,6 +293,69 @@ def test_fibers_list_members(graphfile, capsys):
     assert sum(len(r["members"]) for r in records) == 3
     for r in records:
         assert len(r["members"]) == int(r["fiber_size"])
+
+
+def test_fibers_list_trees_only_on_k7(graphfile, capsys):
+    """The trees in a fiber are one edge of each vertex's attachment set;
+    over all fibers of K7 they are its 7^5 spanning trees, the supported-tree
+    sum with weight c."""
+    g = Graph.complete(7)
+    code, out, _ = run(capsys, "fibers", graphfile(format_graph(g)), "--list", "--trees-only")
+    assert code == 0
+    records = json.loads(out)
+    for r in records:
+        assert len(r["members"]) == int(r["fiber_size"])
+        assert all(len(m) == 6 for m in r["members"])
+    assert sum(len(r["members"]) for r in records) == \
+        supported_tree_sums(g, lambda c: c)[-1] == 7 ** 5
+
+
+LISTINGS = [  # command and flag, the items the message names, their count on a graph
+    (("fibers", "--list"), "fibers --list members", lambda g: connected_subgraph_poly(g)(1)),
+    (("bcf", "--breaks-all"), "bcf --breaks-all edge sets",
+     lambda g: math.comb(len(g.edges), len(g.vertices) - 1)),
+]
+
+
+@pytest.mark.parametrize("argv, what, count", LISTINGS, ids=["fibers", "bcf"])
+def test_listings_past_the_limit_exit_4_at_once(graphfile, capsys, argv, what, count):
+    """K9 has about 6.6e10 connected spanning subgraphs and C(36, 8) edge
+    sets of 8 edges: both listings refuse, with nothing on stdout."""
+    g = Graph.complete(9)
+    path = graphfile(format_graph(g))
+    start = time.perf_counter()
+    code, out, err = run(capsys, argv[0], path, *argv[1:])
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (4, "")
+    assert err == f"{what}: {count(g)}, more than the listing limit of {LISTING_LIMIT}\n"
+
+
+@pytest.mark.parametrize("argv, what, count", LISTINGS, ids=["fibers", "bcf"])
+def test_listing_at_the_limit_runs(graphfile, capsys, monkeypatch, argv, what, count):
+    """K4 lists 38 members or walks 20 edge sets: a limit of exactly that
+    many lets the listing run, one fewer refuses it."""
+    path = graphfile(K4)
+    monkeypatch.setattr(cli, "LISTING_LIMIT", count(Graph.complete(4)))
+    assert run(capsys, argv[0], path, *argv[1:])[0] == 0
+    monkeypatch.setattr(cli, "LISTING_LIMIT", count(Graph.complete(4)) - 1)
+    assert run(capsys, argv[0], path, *argv[1:])[:2] == (4, "")
+
+
+def test_closed_stdout_exits_141_without_a_traceback(graphfile):
+    """A reader that stops early, as `| head -c 10` does, ends the run with
+    128 + SIGPIPE and no traceback."""
+    path = graphfile(format_graph(Graph.complete(9)))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "incrtree.cli", "fibers", path, "--trees-only"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert len(proc.stdout.read(10)) == 10
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=60) == 141
+    assert b"Traceback" not in err
 
 
 def test_fibers_on_p14_skips_the_factorial_walk(graphfile, capsys):

@@ -6,11 +6,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from incrtree.brokencircuits import bcf_subforests
-from incrtree.graphs import (EXHAUSTIVE_LIMIT, FIELD_BITS, BoundExceededError, Graph,
+from incrtree.graphs import (EXHAUSTIVE_LIMIT, BoundExceededError, Graph,
                              connected_graphs, random_connected_graph,
                              random_graph, set_partitions_of)
 from incrtree.checks import _bcf_by_subsets, check_tree_stream
-from incrtree.trees import (RootedForest, RootedTree, _supported_forests, _unpack,
+from incrtree.trees import (RootedForest, RootedTree, _supported_forests,
                             count_supported_trees, increasing_trees,
                             supported_increasing_forests)
 
@@ -350,15 +350,25 @@ def test_streams_on_a_vertex_set_with_gaps():
             assert list(bcf_subforests(h, q)) == list(_bcf_by_subsets(h, q))
 
 
+def test_vertex_positions_fit_in_a_byte():
+    """The packed trees and the oracle table's keys hold a vertex position
+    or an attachment count in one byte."""
+    assert EXHAUSTIVE_LIMIT <= 256
+
+
 def test_packed_fields_fit_positions_and_counts():
-    """A field is one hex digit and holds every position and count below
-    EXHAUSTIVE_LIMIT.  The star on 16 vertices has one supported tree, the
-    star, which reads back with the root's fields zero, every parent at
-    position 0 with a count of 1, and every smallest attachment edge ending
-    at the vertex itself, position 15 included."""
-    assert FIELD_BITS == 4 and 1 << FIELD_BITS >= EXHAUSTIVE_LIMIT
+    """Every position and count below EXHAUSTIVE_LIMIT reads back from the
+    byte columns.  On the 16-vertex fan (vertex 1 joined to 2..16 plus the
+    path 2-3-...-16) the stream starts at the star and ends at the path.
+    Both read back with the root's items zero and every smallest attachment
+    edge ending at the vertex itself, position 15 included; the star has a
+    count of 1 everywhere, and the path a count of 15 below vertex 2."""
     n = EXHAUSTIVE_LIMIT
-    star = Graph(n, [(1, v) for v in range(2, n + 1)])
-    ((blocks, packed),) = _supported_forests(star, 1)
+    fan = Graph(n, [(1, v) for v in range(2, n + 1)] + [(v, v + 1) for v in range(2, n)])
+    stream = list(_supported_forests(fan, 1))
+    assert len(stream) == 2 ** (n - 2)
+    (blocks, *star), (_, *path) = stream[0], stream[-1]
     assert blocks == ((1 << n) - 1,)
-    assert _unpack(packed, n) == ("0" * n, "0" + "1" * (n - 1), "0123456789abcdef")
+    assert star == [bytes(n), bytes([0] + [1] * (n - 1)), bytes(range(n))]
+    assert path == [bytes([0, 0, *range(1, n - 1)]), bytes([0, n - 1] + [1] * (n - 2)),
+                    bytes(range(n))]
