@@ -17,8 +17,8 @@ from .graphs import (BoundExceededError, EXHAUSTIVE_LIMIT, Graph,
 from .trees import (RootedForest, RootedTree, count_supported_trees,
                     increasing_trees, supported_increasing_forests)
 from .skeleton import (attachments_cover, depth_first_partition,
-                       enumerate_fiber, fiber_edge_sets, fiber_size,
-                       skeleton, skeleton_forest, splits_match)
+                       enumerate_fiber, fiber_edge_sets, fiber_members,
+                       fiber_size, skeleton, skeleton_forest, splits_match)
 from .invariants import (IntPoly, chromatic_poly_by_deletion_contraction,
                          chromatic_poly_by_subsets, chromatic_poly_from_forests,
                          collapse_by_shape, connected_subgraph_poly,
@@ -40,8 +40,8 @@ __all__ = [
     "RootedForest", "RootedTree", "count_supported_trees", "increasing_trees",
     "supported_increasing_forests",
     "attachments_cover", "depth_first_partition", "enumerate_fiber",
-    "fiber_edge_sets", "fiber_size", "skeleton", "skeleton_forest",
-    "splits_match",
+    "fiber_edge_sets", "fiber_members", "fiber_size", "skeleton",
+    "skeleton_forest", "splits_match",
     "IntPoly", "chromatic_poly_by_deletion_contraction",
     "chromatic_poly_by_subsets", "chromatic_poly_from_forests",
     "collapse_by_shape", "connected_subgraph_poly",

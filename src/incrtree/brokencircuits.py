@@ -151,7 +151,9 @@ def min_attachment_tree(tree: RootedTree, g: Graph):
 
 
 def spanning_subtrees(g: Graph):
-    """All spanning subtrees of g, lexicographic on sorted edge lists."""
+    """All spanning subtrees of g, lexicographic on sorted edge lists, by a
+    walk over the (n-1)-edge subsets: the oracle for ``bcf --breaks-all``,
+    which lists them as products of attachment sets."""
     want = len(g.vertices) - 1
     for combo in itertools.combinations(sorted(g.edges), want):
         t = g.spanning(combo)

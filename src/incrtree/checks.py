@@ -24,7 +24,7 @@ from .invariants import (IntPoly, chromatic_poly_by_deletion_contraction,
                          csf_y_by_subsets, csf_y_from_forests,
                          supported_forest_counts)
 from .skeleton import (attachments_cover, enumerate_fiber, fiber_edge_sets,
-                       fiber_size, skeleton, splits_match)
+                       fiber_members, fiber_size, skeleton, splits_match)
 from .trees import (RootedTree, _supported_forests, count_supported_trees,
                     increasing_trees, supported_increasing_forests)
 
@@ -81,6 +81,9 @@ def check_fiber_partition(g):
             _fail(f"fiber stream length mismatch at {t!r}")
         if members != brute.get(t, set()):
             _fail(f"fiber mismatch at {t!r}")
+        trees = {q for q in members if len(q.edges) == len(g.vertices) - 1}
+        if trees != set(map(g.spanning, fiber_members(g, t, True))):
+            _fail(f"fiber tree stream mismatch at {t!r}")
         total += size
     if total != sum(len(v) for v in brute.values()):
         _fail("fiber sizes do not add up to the connected subgraph count")

@@ -14,22 +14,21 @@ JSON output is compact and byte deterministic for a fixed input and flags.
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import math
 import os
 import sys
 from pathlib import Path
 
-from .brokencircuits import _bcf_forests, breaks_by_circuits, spanning_subtrees
+from .brokencircuits import _bcf_forests
 from .graphs import (BoundExceededError, Graph, GraphFormatError,
                      NotConnectedError, parse_graph)
 from .invariants import (_csf_y_terms, chromatic_poly_by_subsets,
                          chromatic_poly_from_forests, connected_subgraph_poly,
                          connected_subgraph_poly_from_trees, csf_x_by_subsets,
                          csf_x_from_forests, csf_y_by_subsets)
-from .skeleton import enumerate_fiber, fiber_edge_sets, skeleton
-from .trees import RootedTree, _supported_forests
+from .skeleton import fiber_edge_sets, fiber_members, skeleton
+from .trees import RootedTree, _supported_forests, supported_tree_sums
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -40,8 +39,9 @@ EXIT_PIPE = 141  # 128 + SIGPIPE, as a shell reports a process the signal ended
 
 # fibers --list and bcf --breaks-all refuse with EXIT_BOUND to list more
 # items than this.  On a 2-core Xeon with Python 3.11, bcf --breaks-all
-# walks about 13k edge sets a second on K7 and fibers --list lists about
-# 45k members a second on K6, so a run at the limit ends within about 5 s.
+# lists 25k to 39k spanning trees a second (K7, and n = 8 with 20 to 22
+# edges) and fibers --list 90k to 140k members a second (K6, and n = 8), so
+# a run at the limit ends within about 2.5 s.
 LISTING_LIMIT = 60_000
 
 
@@ -200,16 +200,10 @@ def _check_listing(what: str, count: int):
                        f"{what}: {count}, more than the listing limit of {LISTING_LIMIT}")
 
 
-def _fiber_members(g, tree, trees_only) -> list:
-    """The members of tree's fiber as sorted edge lists, in ``enumerate_fiber``
-    order.  The spanning trees among them take one edge of each vertex's
-    attachment set; as those sets are disjoint, the trees are the product of
-    the sorted sets, in the same order."""
-    if trees_only:
-        members = itertools.product(*map(sorted, fiber_edge_sets(g, tree).values()))
-    else:
-        members = (q.edges for q in enumerate_fiber(g, tree))
-    return [_edges_list(m) for m in members]
+def _rooted_tree(vs, parents) -> RootedTree:
+    """The tree on the sorted vertices vs with a streamed tree's parent
+    column, whose root is at position 0."""
+    return RootedTree(vs[0], zip(vs[1:], map(vs.__getitem__, parents[1:])))
 
 
 def cmd_fibers(args) -> int:
@@ -226,21 +220,16 @@ def cmd_fibers(args) -> int:
     # one edge per vertex gives the trees; any nonempty subset, all members
     factor = [c if args.trees_only else (1 << c) - 1 for c in range(n)]
     by_counts = {}  # count column -> fiber size, record text from the size on
-
-    def tree(parents):
-        return RootedTree(vs[0], zip(vs[1:], map(vs.__getitem__, parents)))
-
     records, listed, members = [], [], 0
     for _, parents, counts, _ in _supported_forests(g, 1):
-        parents = parents[1:]
         if counts not in by_counts:
             size = math.prod(map(factor.__getitem__, counts[1:]))
             by_counts[counts] = size, tail % (size, *counts[1:])
         size, rest = by_counts[counts]
         if args.table:
-            print(f"tree {tree(parents).to_json_obj()}  fiber_size {size}")
+            print(f"tree {_rooted_tree(vs, parents).to_json_obj()}  fiber_size {size}")
             continue
-        records.append(head % tuple(map(text.__getitem__, parents)) + rest)
+        records.append(head % tuple(map(text.__getitem__, parents[1:])) + rest)
         if args.list:
             listed.append(parents)
             members += size
@@ -248,8 +237,9 @@ def cmd_fibers(args) -> int:
         return EXIT_OK
     if args.list:
         _check_listing("fibers --list members", members)
-        records = [record + ',"members":'
-                   + _json(_fiber_members(g, tree(parents), args.trees_only))
+        records = [record + ',"members":' + _json(
+                       [_edges_list(m) for m in
+                        fiber_members(g, _rooted_tree(vs, parents), args.trees_only)])
                    for record, parents in zip(records, listed)]
     print("[" + ",".join(record + "}" for record in records) + "]")
     return EXIT_OK
@@ -261,12 +251,22 @@ def cmd_bcf(args) -> int:
     g = _load_graph(args.graphfile)
     _require_connected(g)
     if args.breaks_all:
-        _check_listing("bcf --breaks-all edge sets",
-                       math.comb(len(g.edges), len(g.vertices) - 1))
-        records = [{"edges": _edges_list(t.edges),
-                    "breaks": _edges_list(breaks_by_circuits(t, g)),
-                    "skeleton": skeleton(t).to_json_obj()}
-                   for t in spanning_subtrees(g)]
+        # tau(G) <= C(|E|, n - 1): count the trees only if that bound passes
+        if math.comb(len(g.edges), len(g.vertices) - 1) > LISTING_LIMIT:
+            _check_listing("bcf --breaks-all spanning trees",
+                           supported_tree_sums(g, lambda c: c)[-1])
+        # a spanning tree takes one edge of each attachment set of its
+        # skeleton, and the smaller edges of each set are its breaks
+        vs = sorted(g.vertices)
+        records = []
+        for _, parents, _, _ in _supported_forests(g, 1):
+            tree = _rooted_tree(vs, parents)
+            sets, skel = fiber_edge_sets(g, tree).values(), tree.to_json_obj()
+            for picks in fiber_members(g, tree, True):
+                breaks = (e for es, kept in zip(sets, picks) for e in es if e < kept)
+                records.append({"edges": _edges_list(picks),
+                                "breaks": _edges_list(breaks), "skeleton": skel})
+        records.sort(key=lambda r: r["edges"])
         if args.table:
             for r in records:
                 print(f"edges {r['edges']}  breaks {r['breaks']}")

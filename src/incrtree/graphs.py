@@ -209,15 +209,6 @@ class SetPartition:
         """Block sizes as a weakly decreasing integer partition."""
         return tuple(sorted((len(b) for b in self.blocks), reverse=True))
 
-    def render(self) -> str:
-        return " | ".join(" ".join(str(v) for v in b) for b in self.blocks)
-
-    @classmethod
-    def parse(cls, text: str) -> "SetPartition":
-        parts = [p for p in text.split("|")]
-        blocks = [[int(v) for v in p.split()] for p in parts if p.split()]
-        return cls(blocks)
-
     def __eq__(self, other):
         if not isinstance(other, SetPartition):
             return NotImplemented

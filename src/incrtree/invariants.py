@@ -51,10 +51,6 @@ class IntPoly:
         return cls((1,))
 
     @classmethod
-    def x(cls) -> "IntPoly":
-        return cls((0, 1))
-
-    @classmethod
     def x_power(cls, k: int, coeff: int = 1) -> "IntPoly":
         return cls((0,) * k + (coeff,))
 

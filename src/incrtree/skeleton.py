@@ -97,32 +97,31 @@ def fiber_size(g: Graph, tree: RootedTree) -> int:
     return out
 
 
-def enumerate_fiber(g: Graph, tree: RootedTree):
-    """Stream every connected spanning subgraph of g that collapses to tree.
+def fiber_members(g: Graph, tree: RootedTree, trees_only: bool = False):
+    """Stream the edge tuples of the connected spanning subgraphs of g that
+    collapse to tree, or with trees_only of the spanning trees among them.
 
-    Each member is built by choosing one nonempty subset of each vertex's
-    available attachment edges.  Per vertex the nonempty subsets run in
-    binary-counter order over the lexicographically sorted edges; choices
-    combine in vertex order with the largest vertex advancing fastest.  An
-    unsupported tree yields an empty stream.
+    Each member is one nonempty subset of each vertex's available attachment
+    edges, a tree one edge of each.  Per vertex the subsets run in
+    binary-counter order (bit i for the i-th smallest edge), which puts the
+    trees' one-edge subsets in edge order; choices combine in vertex order
+    with the largest vertex advancing fastest, and a member lists its edges
+    in that vertex order.  An unsupported tree yields an empty stream.
     """
-    available = fiber_edge_sets(g, tree)
     pools = []
-    for v in sorted(available):
-        edges_sorted = sorted(available[v])
-        if not edges_sorted:
-            return iter(())
-        k = len(edges_sorted)
-        pools.append([
-            tuple(edges_sorted[i] for i in range(k) if mask >> i & 1)
-            for mask in range(1, 1 << k)
-        ])
+    for es in fiber_edge_sets(g, tree).values():
+        es = sorted(es)
+        pools.append(es if trees_only else
+                     [tuple(e for i, e in enumerate(es) if mask >> i & 1)
+                      for mask in range(1, 1 << len(es))])
+    members = itertools.product(*pools)
+    return members if trees_only else map(tuple, map(itertools.chain.from_iterable, members))
 
-    def members():
-        for combo in itertools.product(*pools):
-            yield g.spanning(itertools.chain.from_iterable(combo))
 
-    return members()
+def enumerate_fiber(g: Graph, tree: RootedTree):
+    """Stream every connected spanning subgraph of g that collapses to tree,
+    as a Graph, in ``fiber_members`` order."""
+    return map(g.spanning, fiber_members(g, tree))
 
 
 def splits_match(g: Graph, tree: RootedTree) -> bool:

@@ -3,7 +3,6 @@ import hashlib
 import io
 import itertools
 import json
-import math
 import os
 import random
 import subprocess
@@ -17,10 +16,12 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from incrtree import cli
+from incrtree.brokencircuits import breaks_by_circuits, spanning_subtrees
 from incrtree.cli import LISTING_LIMIT, main
 from incrtree.graphs import (MAX_VERTICES, Graph, format_graph,
                              random_connected_graph)
 from incrtree.invariants import connected_subgraph_poly
+from incrtree.skeleton import skeleton
 from incrtree.trees import count_supported_trees, supported_tree_sums
 
 K3 = "n 3\n1 2\n1 3\n2 3\n"
@@ -142,11 +143,13 @@ COMMANDS = [  # None stands for the graph file or "-"
     ["invariants", "csf-y", None, "--method", "trees"],
     ["fibers", None],
     ["fibers", None, "--trees-only"],
+    ["fibers", None, "--list"],
     ["fibers", None, "--list", "--trees-only"],
     ["fibers", None, "--table"],
     ["bcf", None],
     ["bcf", None, "--q", "2"],
     ["bcf", None, "--q", "0"],
+    ["bcf", None, "--breaks-all"],
 ]
 
 
@@ -310,17 +313,17 @@ def test_fibers_list_trees_only_on_k7(graphfile, capsys):
         supported_tree_sums(g, lambda c: c)[-1] == 7 ** 5
 
 
-LISTINGS = [  # command and flag, the items the message names, their count on a graph
+LISTINGS = [  # command and flag, the items the message names, their count on K_n
     (("fibers", "--list"), "fibers --list members", lambda g: connected_subgraph_poly(g)(1)),
-    (("bcf", "--breaks-all"), "bcf --breaks-all edge sets",
-     lambda g: math.comb(len(g.edges), len(g.vertices) - 1)),
+    # Cayley: K_n has n^(n-2) spanning trees
+    (("bcf", "--breaks-all"), "bcf --breaks-all spanning trees", lambda g: g.n ** (g.n - 2)),
 ]
 
 
 @pytest.mark.parametrize("argv, what, count", LISTINGS, ids=["fibers", "bcf"])
 def test_listings_past_the_limit_exit_4_at_once(graphfile, capsys, argv, what, count):
-    """K9 has about 6.6e10 connected spanning subgraphs and C(36, 8) edge
-    sets of 8 edges: both listings refuse, with nothing on stdout."""
+    """K9 has about 6.6e10 connected spanning subgraphs and 9^7 spanning
+    trees: both listings refuse, with nothing on stdout."""
     g = Graph.complete(9)
     path = graphfile(format_graph(g))
     start = time.perf_counter()
@@ -332,7 +335,7 @@ def test_listings_past_the_limit_exit_4_at_once(graphfile, capsys, argv, what, c
 
 @pytest.mark.parametrize("argv, what, count", LISTINGS, ids=["fibers", "bcf"])
 def test_listing_at_the_limit_runs(graphfile, capsys, monkeypatch, argv, what, count):
-    """K4 lists 38 members or walks 20 edge sets: a limit of exactly that
+    """K4 lists 38 members or 16 spanning trees: a limit of exactly that
     many lets the listing run, one fewer refuses it."""
     path = graphfile(K4)
     monkeypatch.setattr(cli, "LISTING_LIMIT", count(Graph.complete(4)))
@@ -348,13 +351,13 @@ def test_closed_stdout_exits_141_without_a_traceback(graphfile):
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ,
                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "incrtree.cli", "fibers", path, "--trees-only"],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
-    assert len(proc.stdout.read(10)) == 10
-    proc.stdout.close()
-    err = proc.stderr.read()
-    assert proc.wait(timeout=60) == 141
+    with subprocess.Popen(
+            [sys.executable, "-m", "incrtree.cli", "fibers", path, "--trees-only"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        assert len(proc.stdout.read(10)) == 10
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 141
     assert b"Traceback" not in err
 
 
@@ -405,6 +408,10 @@ GOLDEN_DIGESTS = {
     "bcf --q 3": "a32f683e248fd1535b3e42696a54ec46ddb83a01b4a9f3579e9e550c3d78ef3c",
     "bcf --table": "72360bd6c386efd0d2973fb41caaf9dfe9202593ec7088115ee668e81a317699",
     "bcf --q 0": "b18664a06ed0bd101b25a7b58229152a46f6c4b013207f0721ed49960f9ec7a2",
+    # recorded while --breaks-all walked every (n-1)-edge subset
+    "bcf --breaks-all": "dcd640cfaba12c318fcabdac487937dd589e77c7da6ab27f63d11f1c2ae54ae3",
+    "bcf --breaks-all --table":
+        "9ca3d2d9746fc99dadc7ced571a0d636fd34629c588ff62ceaac016fe1d3c902",
     "invariants csf-y --method trees":
         "965c897057fbeff8c1e18b0587be033d7e2fd9da6f63ec71ac543b98fb623523",
     "invariants csf-y --method oracle":
@@ -469,6 +476,21 @@ def test_bcf_breaks_all_k3(graphfile, capsys):
     code, out, _ = run(capsys, "bcf", graphfile(K3), "--breaks-all")
     records = json.loads(out)
     assert [r["breaks"] for r in records] == [[], [], [[1, 2]]]
+
+
+@pytest.mark.parametrize("n, seed", [(1, 0), (2, 1), (3, 2), (4, 3), (5, 4),
+                                     (6, 5), (7, 6), (7, 7)])
+def test_bcf_breaks_all_matches_the_subset_walk(graphfile, capsys, n, seed):
+    """The product listing equals the route it replaced: every (n-1)-edge
+    spanning tree, its breaks by circuits and the skeleton it collapses to."""
+    g = random_connected_graph(n, random.Random(seed))
+    code, out, _ = run(capsys, "bcf", graphfile(format_graph(g)), "--breaks-all")
+    assert code == 0
+    assert json.loads(out) == [
+        {"edges": [list(e) for e in sorted(t.edges)],
+         "breaks": [list(e) for e in sorted(breaks_by_circuits(t, g))],
+         "skeleton": skeleton(t).to_json_obj()}
+        for t in spanning_subtrees(g)]
 
 
 def test_bcf_with_q(graphfile, capsys):

@@ -182,11 +182,6 @@ def partitions(draw):
 
 
 @given(partitions())
-def test_partition_render_roundtrip(p):
-    assert SetPartition.parse(p.render()) == p
-
-
-@given(partitions())
 def test_refines_bounds(p):
     finest = SetPartition.singletons(p.ground)
     coarsest = SetPartition.whole(p.ground)

@@ -5,8 +5,8 @@ import pytest
 
 from incrtree.graphs import Graph, NotConnectedError, SetPartition, connected_graphs
 from incrtree.skeleton import (attachments_cover, depth_first_partition,
-                               enumerate_fiber, fiber_edge_sets, fiber_size,
-                               skeleton, skeleton_forest, splits_match)
+                               enumerate_fiber, fiber_edge_sets, fiber_members,
+                               fiber_size, skeleton, skeleton_forest, splits_match)
 from incrtree.trees import RootedForest, RootedTree, increasing_trees
 
 
@@ -246,6 +246,9 @@ def test_enumerate_fiber_examples():
     ]
     star_fiber = list(enumerate_fiber(k3, RootedTree(1, {2: 1, 3: 1})))
     assert [sorted(q.edges) for q in star_fiber] == [[(1, 2), (1, 3)]]
+    # the trees take one edge per vertex, listed in vertex order
+    assert list(fiber_members(k3, path_tree(1, 2, 3), True)) == [
+        ((1, 2), (2, 3)), ((1, 3), (2, 3))]
 
 
 def test_enumerate_fiber_matches_brute_force_and_is_deterministic():
