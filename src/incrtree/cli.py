@@ -23,10 +23,10 @@ from pathlib import Path
 from .brokencircuits import _bcf_forests
 from .graphs import (BoundExceededError, Graph, GraphFormatError,
                      NotConnectedError, parse_graph)
-from .invariants import (_csf_y_terms, chromatic_poly_by_subsets,
-                         chromatic_poly_from_forests, connected_subgraph_poly,
-                         connected_subgraph_poly_from_trees, csf_x_by_subsets,
-                         csf_x_from_forests, csf_y_by_subsets)
+from .invariants import (_csf_y_subset_terms, _csf_y_terms,
+                         chromatic_poly_by_subsets, chromatic_poly_from_forests,
+                         connected_subgraph_poly, connected_subgraph_poly_from_trees,
+                         csf_x_by_subsets, csf_x_from_forests)
 from .skeleton import fiber_edge_sets, fiber_members, skeleton
 from .trees import RootedTree, _supported_forests, supported_tree_sums
 
@@ -39,9 +39,9 @@ EXIT_PIPE = 141  # 128 + SIGPIPE, as a shell reports a process the signal ended
 
 # fibers --list and bcf --breaks-all refuse with EXIT_BOUND to list more
 # items than this.  On a 2-core Xeon with Python 3.11, bcf --breaks-all
-# lists 25k to 39k spanning trees a second (K7, and n = 8 with 20 to 22
-# edges) and fibers --list 90k to 140k members a second (K6, and n = 8), so
-# a run at the limit ends within about 2.5 s.
+# lists 58k to 106k spanning trees a second (K7, and n = 8 with 21 or 22
+# edges) and fibers --list 208k to 275k members a second (K6, and n = 8
+# with 16 or 17 edges), so a run at the limit ends within about 1 s.
 LISTING_LIMIT = 60_000
 
 
@@ -71,19 +71,35 @@ def _load_graph(path) -> Graph:
 
 
 def _require_connected(g: Graph):
-    blocks = g.components().blocks
-    if len(blocks) > 1:
-        # ten components of at most ten vertices each keep the message short
-        shown = [" ".join(map(str, b[:10])) + (" ..." if len(b) > 10 else "")
-                 for b in blocks[:10]] + (["..."] if len(blocks) > 10 else [])
-        raise CliError(
-            EXIT_DISCONNECTED,
-            f"graph is not connected ({len(blocks)} components: {' | '.join(shown)})",
-        )
+    if g.is_connected():
+        return
+    # ten components of at most ten vertices each keep the message short;
+    # ascending, the vertices meet the components in order of their minimum
+    rep = g._roots()
+    count = sum(v == r for v, r in rep.items())
+    shown = {}  # root -> the first eleven vertices of its component
+    for v in sorted(g.vertices):
+        r = v
+        while rep[r] != r:
+            r = rep[r]
+        rep[v] = r
+        if r in shown:
+            if len(shown[r]) <= 10:
+                shown[r].append(v)
+        elif len(shown) < 10:
+            shown[r] = [v]
+    text = [" ".join(map(str, b[:10])) + (" ..." if len(b) > 10 else "")
+            for b in shown.values()] + (["..."] if count > 10 else [])
+    raise CliError(
+        EXIT_DISCONNECTED,
+        f"graph is not connected ({count} components: {' | '.join(text)})",
+    )
 
 
-def _edges_list(edges):
-    return [[u, v] for u, v in sorted(edges)]
+def _edges_text(g: Graph):
+    """The function giving the JSON text of a list of g's edges, in order."""
+    text = {e: "[%d,%d]" % e for e in g.edges}
+    return lambda edges: "[" + ",".join(map(text.__getitem__, edges)) + "]"
 
 
 # --- k ------------------------------------------------------------------------
@@ -120,30 +136,21 @@ def _csf_x_json(terms):
                   for shape in sorted(terms, reverse=True)])
 
 
-def _block_text(block) -> str:
-    return "[" + ",".join(map(str, block)) + "]"
-
-
-def _csf_y_text(terms, block_text) -> str:
-    """JSON text of refined power-sum terms, (blocks, coeff) pairs in
-    canonical order, block_text(b) giving the text of block b."""
+def _csf_y_text(vertices, terms) -> str:
+    """JSON text of refined power-sum terms, (block masks, coeff) pairs in
+    canonical order over the ``mask_vertices`` table vertices."""
+    block_text = ["[" + ",".join(map(str, block)) + "]" for block in vertices]
     return "[" + ",".join(
-        '{"blocks":[%s],"coeff":"%d"}' % (",".join(map(block_text, blocks)), c)
+        '{"blocks":[%s],"coeff":"%d"}' % (",".join(map(block_text.__getitem__, blocks)), c)
         for blocks, c in terms) + "]"
-
-
-def _csf_y_trees(g):
-    vertices, terms = _csf_y_terms(g)
-    return _csf_y_text(terms, list(map(_block_text, vertices)).__getitem__)
 
 
 def _csf_routes(which, g):
     if which == "csf-x":
         return (lambda: _csf_x_json(csf_x_from_forests(g)),
                 lambda: _csf_x_json(csf_x_by_subsets(g)))
-    return (lambda: _csf_y_trees(g),
-            lambda: _csf_y_text(((part.blocks, c) for part, c in
-                                 sorted(csf_y_by_subsets(g).items())), _block_text))
+    return (lambda: _csf_y_text(*_csf_y_terms(g)),
+            lambda: _csf_y_text(*_csf_y_subset_terms(g)))
 
 
 def cmd_invariants(args) -> int:
@@ -237,9 +244,10 @@ def cmd_fibers(args) -> int:
         return EXIT_OK
     if args.list:
         _check_listing("fibers --list members", members)
-        records = [record + ',"members":' + _json(
-                       [_edges_list(m) for m in
-                        fiber_members(g, _rooted_tree(vs, parents), args.trees_only)])
+        edges_text = _edges_text(g)
+        records = [record + ',"members":[' + ",".join(
+                       edges_text(sorted(m)) for m in
+                       fiber_members(g, _rooted_tree(vs, parents), args.trees_only)) + "]"
                    for record, parents in zip(records, listed)]
     print("[" + ",".join(record + "}" for record in records) + "]")
     return EXIT_OK
@@ -258,20 +266,22 @@ def cmd_bcf(args) -> int:
         # a spanning tree takes one edge of each attachment set of its
         # skeleton, and the smaller edges of each set are its breaks
         vs = sorted(g.vertices)
-        records = []
+        records = []  # (edges, breaks, skeleton text); the edges tell any two apart
         for _, parents, _, _ in _supported_forests(g, 1):
             tree = _rooted_tree(vs, parents)
-            sets, skel = fiber_edge_sets(g, tree).values(), tree.to_json_obj()
+            sets, skel = fiber_edge_sets(g, tree).values(), _json(tree.to_json_obj())
             for picks in fiber_members(g, tree, True):
-                breaks = (e for es, kept in zip(sets, picks) for e in es if e < kept)
-                records.append({"edges": _edges_list(picks),
-                                "breaks": _edges_list(breaks), "skeleton": skel})
-        records.sort(key=lambda r: r["edges"])
+                breaks = sorted(e for es, kept in zip(sets, picks) for e in es if e < kept)
+                records.append((sorted(picks), breaks, skel))
+        records.sort()
         if args.table:
-            for r in records:
-                print(f"edges {r['edges']}  breaks {r['breaks']}")
+            for edges, breaks, _ in records:
+                print(f"edges {list(map(list, edges))}  breaks {list(map(list, breaks))}")
         else:
-            _emit_json(records)
+            edges_text = _edges_text(g)
+            print("[" + ",".join('{"edges":%s,"breaks":%s,"skeleton":%s}' % (
+                edges_text(edges), edges_text(breaks), skel)
+                for edges, breaks, skel in records) + "]")
         return EXIT_OK
     forests = _bcf_forests(g, args.q)
     if args.table:
@@ -282,7 +292,7 @@ def cmd_bcf(args) -> int:
     # which is its skeleton: written as a tree for q = 1, else as a list
     vs = sorted(g.vertices)
     text = list(map(str, vs))
-    edge_text = {e: "[%d,%d]" % e for e in g.edges}
+    edges_text = _edges_text(g)
     shapes = {}  # blocks -> skeleton template, positions filling its slots
     records = []
     for edges, blocks, parents in forests:
@@ -294,8 +304,8 @@ def cmd_bcf(args) -> int:
                 slots += at[1:]
             shapes[blocks] = (trees[0] if args.q == 1 else "[" + ",".join(trees) + "]"), slots
         template, slots = shapes[blocks]
-        records.append('{"edges":[%s],"skeleton":%s}' % (
-            ",".join(map(edge_text.__getitem__, edges)),
+        records.append('{"edges":%s,"skeleton":%s}' % (
+            edges_text(edges),
             template % tuple([text[parents[i]] for i in slots])))
     print("[" + ",".join(records) + "]")
     return EXIT_OK

@@ -114,13 +114,10 @@ class Graph:
             adj[v].add(u)
         return adj
 
-    def components(self) -> "SetPartition":
-        """The maximal partition of the vertex set into connected blocks.
-
-        One union-find pass over the edges, halving paths, builds no
-        adjacency sets; the finds are inlined, as they run for every edge
-        and vertex.
-        """
+    def _roots(self) -> dict[int, int]:
+        """Union-find over the edges, halving paths: following the map from
+        any vertex ends at its component's root, which maps to itself.
+        The finds are inlined, as they run for every edge and vertex."""
         rep = {v: v for v in self.vertices}
         for u, v in self.edges:
             while rep[u] != u:
@@ -129,6 +126,12 @@ class Graph:
                 rep[v] = v = rep[rep[v]]
             if u != v:
                 rep[u] = v
+        return rep
+
+    def components(self) -> "SetPartition":
+        """The maximal partition of the vertex set into connected blocks,
+        from one union-find pass that builds no adjacency sets."""
+        rep = self._roots()
         blocks: dict[int, list[int]] = {}
         for v in rep:
             r = v
@@ -138,9 +141,10 @@ class Graph:
         return SetPartition(blocks.values())
 
     def is_connected(self) -> bool:
+        """True iff the union-find pass leaves one root."""
         if not self.vertices:
             raise ValueError("connectivity is undefined for an empty vertex set")
-        return len(self.components()) == 1
+        return sum(v == r for v, r in self._roots().items()) == 1
 
     def __eq__(self, other):
         if not isinstance(other, Graph):
@@ -175,15 +179,6 @@ class SetPartition:
                     raise ValueError(f"vertex {v} appears in two blocks")
                 seen.add(v)
         self.blocks = tuple(canon)
-
-    @classmethod
-    def singletons(cls, vertices) -> "SetPartition":
-        return cls([v] for v in vertices)
-
-    @classmethod
-    def whole(cls, vertices) -> "SetPartition":
-        vs = list(vertices)
-        return cls([vs] if vs else [])
 
     @property
     def ground(self) -> frozenset[int]:

@@ -54,10 +54,6 @@ class IntPoly:
     def x_power(cls, k: int, coeff: int = 1) -> "IntPoly":
         return cls((0,) * k + (coeff,))
 
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
     def coefficient(self, k: int) -> int:
         return self.coeffs[k] if 0 <= k < len(self.coeffs) else 0
 
@@ -307,7 +303,17 @@ def csf_y_from_forests(g: Graph) -> dict[SetPartition, int]:
     zero coefficients are omitted.  Only partitions whose blocks all carry
     a supported tree are visited, in canonical order.
     """
-    vertices, terms = _csf_y_terms(g)
+    return _by_set_partition(*_csf_y_terms(g))
+
+
+def csf_y_by_subsets(g: Graph) -> dict[SetPartition, int]:
+    """Oracle route: signed sum over all edge subsets grouped by component
+    partition, one entry of the edge-subset table per partition."""
+    return _by_set_partition(*_csf_y_subset_terms(g))
+
+
+def _by_set_partition(vertices, terms) -> dict[SetPartition, int]:
+    """The csf-y map of terms over the ``mask_vertices`` table vertices."""
     return {SetPartition(map(vertices.__getitem__, blocks)): c for blocks, c in terms}
 
 
@@ -327,17 +333,25 @@ def _csf_y_terms(g: Graph):
     return vertices, terms()
 
 
-def csf_y_by_subsets(g: Graph) -> dict[SetPartition, int]:
-    """Oracle route: signed sum over all edge subsets grouped by component
-    partition, one entry of the edge-subset table per partition."""
-    vs = sorted(g.vertices)
-    out: dict[SetPartition, int] = {}
+def _csf_y_subset_terms(g: Graph):
+    """The ``mask_vertices`` table of g and the nonzero terms of
+    ``csf_y_by_subsets``, in the form and order of ``_csf_y_terms``.
+
+    A table key's label is its block's smallest position, so the labels in
+    order of first sight give the blocks by ascending minimum, and one sort
+    on the blocks' vertex tuples gives canonical SetPartition order.
+    """
+    terms = []
     for key, counts in _edge_subset_table(g).items():
         c = _signed(counts, g)
         if c:
-            out[SetPartition([v for v, lab in zip(vs, key) if lab == label]
-                             for label in set(key))] = c
-    return dict(sorted(out.items()))
+            blocks: dict[int, int] = {}
+            for i, label in enumerate(key):
+                blocks[label] = blocks.get(label, 0) | 1 << i
+            terms.append((tuple(blocks.values()), c))
+    vertices = mask_vertices(sorted(g.vertices))
+    terms.sort(key=lambda term: tuple(map(vertices.__getitem__, term[0])))
+    return vertices, terms
 
 
 def csf_x_from_forests(g: Graph) -> dict[tuple[int, ...], int]:

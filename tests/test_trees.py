@@ -67,24 +67,6 @@ def test_parent_of():
         star.parent_of(1)
 
 
-def test_join():
-    t = RootedTree(1, {2: 1, 3: 2, 4: 1})
-    assert t.join(3, 3) == 3
-    assert t.join(3, 1) == 1
-    assert t.join(3, 4) == 1
-
-    # oracle: intersect the two ancestor chains, take the deepest
-    def chain(v):
-        out = [v]
-        while v != t.root:
-            v = t.parent[v]
-            out.append(v)
-        return out
-
-    common = [a for a in chain(3) if a in chain(4)]
-    assert t.join(3, 4) == common[0]
-
-
 # --- increasing ----------------------------------------------------------------
 
 def test_is_increasing_examples():
@@ -215,7 +197,6 @@ def test_forest_canonical_order_and_partition():
     f = RootedForest([RootedTree(3, {4: 3}), RootedTree(1, {2: 1})])
     assert [t.root for t in f.components] == [1, 3]
     assert f.partition().blocks == ((1, 2), (3, 4))
-    assert f.shape() == (2, 2)
 
 
 def test_forest_rejects_overlap():
