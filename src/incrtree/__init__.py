@@ -16,19 +16,18 @@ from .graphs import (BoundExceededError, EXHAUSTIVE_LIMIT, Graph,
                      parse_graph, random_connected_graph, set_partitions_of)
 from .trees import (RootedForest, RootedTree, count_supported_trees,
                     increasing_trees, supported_increasing_forests)
-from .skeleton import (attachments_cover, depth_first_partition,
-                       enumerate_fiber, fiber_edge_sets, fiber_members,
-                       fiber_size, skeleton, skeleton_forest, splits_match)
-from .invariants import (IntPoly, chromatic_poly_by_deletion_contraction,
+from .skeleton import (attachments_cover, enumerate_fiber, fiber_edge_sets,
+                       fiber_members, fiber_size, skeleton, skeleton_forest,
+                       splits_match)
+from .invariants import (IntPoly, chromatic_poly_by_independent_sets,
                          chromatic_poly_by_subsets, chromatic_poly_from_forests,
                          collapse_by_shape, connected_subgraph_poly,
                          connected_subgraph_poly_from_trees, csf_x_by_subsets,
                          csf_x_from_forests, csf_y_by_subsets,
                          csf_y_from_forests, supported_forest_counts)
 from .brokencircuits import (bcf_subforests, breaks_by_circuits,
-                             breaks_by_skeleton, circuit_closed_by,
-                             is_broken_circuit_free, min_attachment_tree,
-                             spanning_subtrees)
+                             breaks_by_skeleton, is_broken_circuit_free,
+                             min_attachment_tree, spanning_subtrees)
 
 __version__ = "0.1.0"
 
@@ -39,16 +38,15 @@ __all__ = [
     "set_partitions_of",
     "RootedForest", "RootedTree", "count_supported_trees", "increasing_trees",
     "supported_increasing_forests",
-    "attachments_cover", "depth_first_partition", "enumerate_fiber",
-    "fiber_edge_sets", "fiber_members", "fiber_size", "skeleton",
-    "skeleton_forest", "splits_match",
-    "IntPoly", "chromatic_poly_by_deletion_contraction",
+    "attachments_cover", "enumerate_fiber", "fiber_edge_sets",
+    "fiber_members", "fiber_size", "skeleton", "skeleton_forest",
+    "splits_match",
+    "IntPoly", "chromatic_poly_by_independent_sets",
     "chromatic_poly_by_subsets", "chromatic_poly_from_forests",
     "collapse_by_shape", "connected_subgraph_poly",
     "connected_subgraph_poly_from_trees", "csf_x_by_subsets",
     "csf_x_from_forests", "csf_y_by_subsets", "csf_y_from_forests",
     "supported_forest_counts",
     "bcf_subforests", "breaks_by_circuits", "breaks_by_skeleton",
-    "circuit_closed_by", "is_broken_circuit_free", "min_attachment_tree",
-    "spanning_subtrees",
+    "is_broken_circuit_free", "min_attachment_tree", "spanning_subtrees",
 ]

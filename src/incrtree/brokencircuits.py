@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import itertools
 
-from .graphs import Graph
+from .graphs import Graph, check_limit
 from .skeleton import skeleton
 from .trees import RootedTree, _supported_forests
 
@@ -34,53 +34,36 @@ def _check_spanning_subtree(t: Graph, g: Graph) -> None:
         raise ValueError("expected a spanning tree")
 
 
-def _path_edges(h: Graph, start: int, goal: int) -> tuple:
-    """Edges of the unique path between two vertices of a forest."""
-    adj = h.adjacency()
-    prev = {start: None}
-    stack = [start]
-    while stack:
-        v = stack.pop()
-        if v == goal:
-            break
-        for w in adj[v]:
-            if w not in prev:
-                prev[w] = v
-                stack.append(w)
-    if goal not in prev:
-        raise ValueError(f"no path between {start} and {goal}")
-    out = []
-    v = goal
-    while prev[v] is not None:
-        p = prev[v]
-        out.append((p, v) if p < v else (v, p))
-        v = p
-    return tuple(out)
+def _smallest_closers(h: Graph, g: Graph):
+    """Yield every edge e of g whose endpoints are joined by a path of
+    h-edges all larger than e.
 
-
-def circuit_closed_by(t: Graph, e) -> frozenset:
-    """Edge set of the unique circuit in a spanning tree plus one extra edge.
-
-    The extra edge is included in the result.
+    Such an e is the smallest edge of the circuit it closes, and the path is
+    a broken circuit inside h.  One union-find pass over g's edges from the
+    largest down joins the h-edges, so when e arrives its endpoints share a
+    root exactly when the larger h-edges join them.
     """
-    u, v = e
-    ee = (u, v) if u < v else (v, u)
-    if ee in t.edges:
-        raise ValueError(f"edge {ee} already belongs to the tree")
-    if u not in t.vertices or v not in t.vertices:
-        raise ValueError(f"edge {ee} leaves the vertex set")
-    return frozenset(_path_edges(t, ee[0], ee[1])) | {ee}
+    rep = {v: v for v in g.vertices}
+    for e in sorted(g.edges, reverse=True):
+        u, v = e
+        while rep[u] != u:
+            rep[u] = rep[rep[u]]
+            u = rep[u]
+        while rep[v] != v:
+            rep[v] = rep[rep[v]]
+            v = rep[v]
+        if u == v:
+            yield e
+        elif e in h.edges:
+            rep[u] = v
 
 
 def breaks_by_circuits(t: Graph, g: Graph) -> frozenset:
     """Edges of g outside the spanning subtree t that are the smallest edge
-    of the circuit they close."""
+    of the circuit they close: the edges whose endpoints larger t-edges
+    join.  No t-edge qualifies, since t holds no circuit."""
     _check_spanning_subtree(t, g)
-    out = set()
-    for e in sorted(g.edges - t.edges):
-        if min(circuit_closed_by(t, e)) == e:
-            out.add(e)
-    return frozenset(out)
+    return frozenset(_smallest_closers(t, g))
 
 
 def breaks_by_skeleton(t: Graph, g: Graph) -> frozenset:
@@ -103,31 +86,14 @@ def breaks_by_skeleton(t: Graph, g: Graph) -> frozenset:
 def is_broken_circuit_free(h: Graph, g: Graph) -> bool:
     """True iff the spanning subgraph h contains no broken circuit of g.
 
-    h holds a broken circuit exactly when some edge e of g has its endpoints
-    joined by a path of h-edges all larger than e: e closes a circuit in
-    which it is minimal, and the path is the broken circuit.  One union-find
-    pass over g's edges from the largest down tests every e against the
-    h-edges above it; an e inside h closing such a path makes h contain a
-    circuit, so a BCF subgraph is always a forest.
+    h holds a broken circuit exactly when some edge of g has its endpoints
+    joined by a path of larger h-edges (``_smallest_closers``).  An edge
+    inside h closing such a path makes h contain a circuit, so a BCF
+    subgraph is always a forest.
     """
     if h.vertices != g.vertices or not h.edges <= g.edges:
         raise ValueError("expected a spanning subgraph of the host graph")
-    rep = {v: v for v in g.vertices}
-    for e in sorted(g.edges, reverse=True):
-        u, v = (_find(rep, w) for w in e)
-        if u == v:
-            return False
-        if e in h.edges:
-            rep[u] = v
-    return True
-
-
-def _find(rep: dict, v: int) -> int:
-    """Union-find root of v, halving the path on the way."""
-    while rep[v] != v:
-        rep[v] = rep[rep[v]]
-        v = rep[v]
-    return v
+    return next(_smallest_closers(h, g), None) is None
 
 
 def min_attachment_tree(tree: RootedTree, g: Graph):
@@ -154,6 +120,7 @@ def spanning_subtrees(g: Graph):
     """All spanning subtrees of g, lexicographic on sorted edge lists, by a
     walk over the (n-1)-edge subsets: the oracle for ``bcf --breaks-all``,
     which lists them as products of attachment sets."""
+    check_limit(len(g.vertices))
     want = len(g.vertices) - 1
     for combo in itertools.combinations(sorted(g.edges), want):
         t = g.spanning(combo)

@@ -17,7 +17,7 @@ from .brokencircuits import (bcf_subforests, breaks_by_circuits,
                              breaks_by_skeleton, is_broken_circuit_free,
                              min_attachment_tree, spanning_subtrees)
 from .graphs import connected_graphs, format_graph, random_connected_graph
-from .invariants import (IntPoly, chromatic_poly_by_deletion_contraction,
+from .invariants import (IntPoly, chromatic_poly_by_independent_sets,
                          chromatic_poly_by_subsets, chromatic_poly_from_forests,
                          collapse_by_shape, connected_subgraph_poly,
                          connected_subgraph_poly_from_trees, csf_x_from_forests,
@@ -118,7 +118,7 @@ def check_eta_definition(g):
 
 def check_chromatic_routes(g):
     oracle = chromatic_poly_by_subsets(g)
-    if oracle != chromatic_poly_by_deletion_contraction(g):
+    if oracle != chromatic_poly_by_independent_sets(g):
         _fail("chromatic oracles disagree")
     if oracle != chromatic_poly_from_forests(g):
         _fail("forest route disagrees with the chromatic oracles")
@@ -164,13 +164,13 @@ def check_bcf_bijection(g):
     for h in bcf:
         if min_attachment_tree(skeleton(h), g) != h:
             _fail("round trip through the skeleton moves a BCF subtree")
-    chi = chromatic_poly_by_deletion_contraction(g)
+    chi = chromatic_poly_by_independent_sets(g)
     if len(bcf) != abs(chi.coefficient(1)):
         _fail("BCF subtree count differs from the linear chromatic coefficient")
 
 
 def check_bcf_counts(g):
-    chi = chromatic_poly_by_deletion_contraction(g)
+    chi = chromatic_poly_by_independent_sets(g)
     forest_counts = supported_forest_counts(g)
     oracle = list(_bcf_by_subsets(g))
     if list(bcf_subforests(g)) != oracle:

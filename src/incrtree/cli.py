@@ -125,8 +125,8 @@ def _poly_routes(which, g):
         _require_connected(g)
         return (lambda: _json(connected_subgraph_poly_from_trees(g).to_list()),
                 lambda: _json(connected_subgraph_poly(g).to_list()))
-    # chromatic: the subset expansion is the oracle route; deletion and
-    # contraction stays available for cross-checks in the library and tests
+    # chromatic: the subset expansion is the oracle route; the independent-set
+    # partition oracle stays available for cross-checks in the library and tests
     return (lambda: _json(chromatic_poly_from_forests(g).to_list()),
             lambda: _json(chromatic_poly_by_subsets(g).to_list()))
 

@@ -7,7 +7,7 @@ forests), kept deliberately independent so they can cross-check each other:
 * the connected-subgraph polynomial: one term t^edges per connected
   spanning subgraph,
 * the chromatic polynomial, via the signed spanning-subgraph expansion,
-  via deletion-contraction, and via forest counts,
+  via partitions into independent sets, and via forest counts,
 * power-sum coefficient maps of the chromatic symmetric function, keyed by
   integer partition (shape form) or by set partition of the vertex set
   (refined form).
@@ -22,9 +22,9 @@ from __future__ import annotations
 import functools
 import math
 
-from .graphs import Graph, NotConnectedError, SetPartition, check_limit, edge
-from .trees import (mask_vertices, submasks, supported_partitions,
-                    supported_tree_sums)
+from .graphs import Graph, NotConnectedError, SetPartition, check_limit
+from .trees import (_adjacency_masks, mask_vertices, submasks,
+                    supported_partitions, supported_tree_sums)
 
 
 class IntPoly:
@@ -218,29 +218,36 @@ def chromatic_poly_by_subsets(g: Graph) -> IntPoly:
     return IntPoly(coeffs)
 
 
-def chromatic_poly_by_deletion_contraction(g: Graph) -> IntPoly:
-    """Chromatic polynomial via deletion and contraction.
+def chromatic_poly_by_independent_sets(g: Graph) -> IntPoly:
+    """Chromatic polynomial via partitions into independent sets.
 
-    Contracts onto the smaller endpoint and discards parallel edges; the
-    second, structurally unrelated oracle route next to the subset
-    expansion.
+    The colour classes of a proper x-colouring are the blocks of a
+    partition of the vertices into k independent sets, coloured in
+    x(x-1)...(x-k+1) ways, so chi(x) = sum over k of a_k x(x-1)...(x-k+1),
+    a_k counting those partitions (R. C. Read, J. Combin. Theory 4, 1968;
+    Bjorklund, Husfeldt and Koivisto, SIAM J. Comput. 39, 2009).  One pass
+    over vertex masks in increasing order splits off the independent block
+    that holds the minimum of the mask, and packs a_k at bit k*w; no count
+    (at most Bell(n) <= n^n) reaches 2^w.  Works for disconnected graphs;
+    shares no table with the other two routes.
     """
-
-    def chi(vertices: frozenset, edges: frozenset) -> IntPoly:
-        if not edges:
-            return IntPoly.x_power(len(vertices))
-        u, v = min(edges)
-        deleted = edges - {(u, v)}
-        contracted = set()
-        for a, b in deleted:
-            if a == v:
-                a = u
-            if b == v:
-                b = u
-            contracted.add(edge(a, b))
-        return chi(vertices, deleted) - chi(vertices - {v}, frozenset(contracted))
-
-    return chi(g.vertices, g.edges)
+    vs, adj = _adjacency_masks(g)
+    n = len(vs)
+    w = n * n.bit_length() + 1
+    independent = [True] * (1 << n)
+    parts = [1] * (1 << n)  # entry 0: the empty partition, k = 0
+    for mask in range(1, 1 << n):
+        low = mask & -mask
+        nbrs = adj[low.bit_length() - 1]
+        independent[mask] = independent[mask ^ low] and not nbrs & mask
+        choices = (mask ^ low) & ~nbrs
+        parts[mask] = sum(parts[mask ^ low ^ extra] for extra in submasks(choices)
+                          if independent[extra]) << w
+    out, falling = IntPoly.zero(), IntPoly.one()
+    for k in range(n + 1):
+        out = out + falling * ((parts[-1] >> k * w) & ((1 << w) - 1))
+        falling = falling * IntPoly((-k, 1))
+    return out
 
 
 def chromatic_poly_from_forests(g: Graph) -> IntPoly:

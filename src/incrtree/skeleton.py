@@ -21,17 +21,8 @@ from __future__ import annotations
 
 import itertools
 
-from .graphs import Graph, NotConnectedError, SetPartition
+from .graphs import Graph, NotConnectedError
 from .trees import RootedForest, RootedTree
-
-
-def depth_first_partition(g: Graph, root: int) -> SetPartition:
-    """Connected-component partition of g with the root vertex removed."""
-    if root not in g.vertices:
-        raise ValueError(f"unknown root {root}")
-    if not g.is_connected():
-        raise NotConnectedError("depth-first partition requires a connected graph")
-    return g.restrict(g.vertices - {root}).components()
 
 
 def skeleton_forest(g: Graph) -> RootedForest:

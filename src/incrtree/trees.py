@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import itertools
 
-from .graphs import Graph, SetPartition, check_limit, edge, link
+from .graphs import Graph, check_limit, edge, link
 
 # Bits in one field of a packed tree: a byte holds any vertex position or
 # attachment count (see EXHAUSTIVE_LIMIT).
@@ -165,9 +165,6 @@ class RootedForest:
     def ground(self) -> frozenset[int]:
         return frozenset(v for t in self.components for v in t.vertices)
 
-    def partition(self) -> SetPartition:
-        return SetPartition(t.vertices for t in self.components)
-
     def component_count(self) -> int:
         return len(self.components)
 
@@ -183,9 +180,6 @@ class RootedForest:
     @property
     def edges(self) -> frozenset[tuple[int, int]]:
         return frozenset(e for t in self.components for e in t.edges)
-
-    def to_json_obj(self) -> list:
-        return [t.to_json_obj() for t in self.components]
 
     def __eq__(self, other):
         if not isinstance(other, RootedForest):

@@ -16,7 +16,7 @@ from incrtree.brokencircuits import (bcf_subforests, breaks_by_circuits,
 from incrtree.checks import DEFAULT_SEED
 from incrtree.graphs import (Graph, all_graphs, connected_graphs,
                              random_connected_graph, random_graph)
-from incrtree.invariants import (chromatic_poly_by_deletion_contraction,
+from incrtree.invariants import (chromatic_poly_by_independent_sets,
                                  chromatic_poly_by_subsets,
                                  chromatic_poly_from_forests, collapse_by_shape,
                                  connected_subgraph_poly,
@@ -109,7 +109,7 @@ def test_criterion_3_chromatic_routes():
                    budget=300.0):
         def check(g):
             by_subsets = chromatic_poly_by_subsets(g)
-            assert by_subsets == chromatic_poly_by_deletion_contraction(g)
+            assert by_subsets == chromatic_poly_by_independent_sets(g)
             assert by_subsets == chromatic_poly_from_forests(g)
 
         for n in range(1, 6):
@@ -147,7 +147,7 @@ def test_criterion_5_bijection():
                     assert skeleton(im) == t
                 for h in bcf:
                     assert min_attachment_tree(skeleton(h), g) == h
-                chi = chromatic_poly_by_deletion_contraction(g)
+                chi = chromatic_poly_by_independent_sets(g)
                 assert len(bcf) == abs(chi.coefficient(1)) == len(supported)
 
 

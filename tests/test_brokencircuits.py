@@ -4,8 +4,7 @@ import random
 import pytest
 
 from incrtree.brokencircuits import (bcf_subforests, breaks_by_circuits,
-                                     breaks_by_skeleton, circuit_closed_by,
-                                     is_broken_circuit_free,
+                                     breaks_by_skeleton, is_broken_circuit_free,
                                      min_attachment_tree, spanning_subtrees)
 from incrtree.checks import _bcf_by_subsets
 from incrtree.graphs import (Graph, connected_graphs, random_connected_graph,
@@ -49,20 +48,18 @@ def bcf_by_definition(h, g):
     return True
 
 
-# --- circuits ---------------------------------------------------------------
-
-def test_circuit_closed_by_examples():
-    t = Graph(3, [(1, 2), (2, 3)])
-    assert circuit_closed_by(t, (1, 3)) == {(1, 2), (2, 3), (1, 3)}
-    p4 = Graph(4, [(1, 2), (2, 3), (3, 4)])
-    assert circuit_closed_by(p4, (1, 4)) == {(1, 2), (2, 3), (3, 4), (1, 4)}
-    star = Graph(3, [(1, 2), (1, 3)])
-    assert circuit_closed_by(star, (2, 3)) == {(1, 2), (1, 3), (2, 3)}
-
-
-def test_circuit_closed_by_rejects_tree_edge():
-    with pytest.raises(ValueError):
-        circuit_closed_by(Graph(3, [(1, 2), (2, 3)]), (2, 3))
+def breaks_by_definition(t, g):
+    """Oracle: an outside edge e is a break when it is smaller than every
+    edge of C, the t-edges that complete e to a circuit."""
+    ts = sorted(t.edges)
+    out = set()
+    for e in g.edges - t.edges:
+        (closed,) = [c for k in range(1, len(ts) + 1)
+                     for c in itertools.combinations(ts, k)
+                     if is_circuit(set(c) | {e})]
+        if e < min(closed):
+            out.add(e)
+    return out
 
 
 # --- breaks ----------------------------------------------------------------------
@@ -87,6 +84,13 @@ def test_breaks_routes_agree_everywhere_small():
         for g in connected_graphs(n):
             for t in spanning_subtrees(g):
                 assert breaks_by_skeleton(t, g) == breaks_by_circuits(t, g)
+
+
+def test_breaks_match_definition():
+    for n in range(2, 6):
+        for g in connected_graphs(n):
+            for t in spanning_subtrees(g):
+                assert breaks_by_circuits(t, g) == breaks_by_definition(t, g)
 
 
 def test_breaks_requires_spanning_subtree():

@@ -1,16 +1,17 @@
+import itertools
 import random
 from math import comb, factorial
 
 import pytest
 
-from incrtree.brokencircuits import bcf_subforests
+from incrtree.brokencircuits import bcf_subforests, spanning_subtrees
 from incrtree.checks import _edge_subsets, check_eta_definition
 
 from incrtree.graphs import (EXHAUSTIVE_LIMIT, BoundExceededError, Graph,
                              NotConnectedError, SetPartition, all_graphs,
                              connected_graphs, random_connected_graph,
                              random_graph, set_partitions_of)
-from incrtree.invariants import (IntPoly, chromatic_poly_by_deletion_contraction,
+from incrtree.invariants import (IntPoly, chromatic_poly_by_independent_sets,
                                  chromatic_poly_by_subsets,
                                  chromatic_poly_from_forests, collapse_by_shape,
                                  connected_subgraph_poly,
@@ -101,8 +102,10 @@ def test_forest_routes_respect_limit():
                   lambda g: supported_tree_sums(g, lambda c: 1),
                   lambda g: list(supported_increasing_forests(g)),
                   connected_subgraph_poly, connected_subgraph_poly_from_trees,
-                  chromatic_poly_by_subsets, csf_y_by_subsets, csf_x_by_subsets,
-                  lambda g: list(bcf_subforests(g))):
+                  chromatic_poly_by_subsets, chromatic_poly_by_independent_sets,
+                  csf_y_by_subsets, csf_x_by_subsets,
+                  lambda g: list(bcf_subforests(g)),
+                  lambda g: list(spanning_subtrees(g))):
         with pytest.raises(BoundExceededError):
             route(big)
 
@@ -144,7 +147,7 @@ def test_chromatic_examples():
 def test_chromatic_oracles_agree():
     for g in small_graphs():
         assert chromatic_poly_by_subsets(g) == \
-            chromatic_poly_by_deletion_contraction(g)
+            chromatic_poly_by_independent_sets(g)
 
 
 def test_chromatic_forest_route():
@@ -162,7 +165,20 @@ def test_chromatic_forest_route_random_n5():
     for _ in range(10):
         g = random_connected_graph(5, rng)
         assert chromatic_poly_from_forests(g) == \
-            chromatic_poly_by_deletion_contraction(g)
+            chromatic_poly_by_independent_sets(g)
+
+
+def test_chromatic_forest_route_dense_n13_n14():
+    """Past the subset oracle's desk range, the independent-set oracle still
+    pins the forest route on dense graphs."""
+    rng = random.Random(4)
+    for n, m in ((13, 50), (14, 70)):
+        pairs = list(itertools.combinations(range(1, n + 1), 2))
+        g = Graph(n, rng.sample(pairs, m))
+        while not g.is_connected():
+            g = Graph(n, rng.sample(pairs, m))
+        assert chromatic_poly_from_forests(g) == \
+            chromatic_poly_by_independent_sets(g)
 
 
 def test_chromatic_coefficient_signs():

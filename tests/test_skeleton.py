@@ -3,10 +3,10 @@ import random
 
 import pytest
 
-from incrtree.graphs import Graph, NotConnectedError, SetPartition, connected_graphs
-from incrtree.skeleton import (attachments_cover, depth_first_partition,
-                               enumerate_fiber, fiber_edge_sets, fiber_members,
-                               fiber_size, skeleton, skeleton_forest, splits_match)
+from incrtree.graphs import Graph, NotConnectedError, connected_graphs
+from incrtree.skeleton import (attachments_cover, enumerate_fiber,
+                               fiber_edge_sets, fiber_members, fiber_size,
+                               skeleton, skeleton_forest, splits_match)
 from incrtree.trees import RootedForest, RootedTree, increasing_trees
 
 
@@ -43,34 +43,6 @@ def brute_fibers(g):
             if q.is_connected():
                 out.setdefault(skeleton(q), set()).add(q)
     return out
-
-
-# --- depth-first partition -----------------------------------------------------
-
-def test_depth_first_partition_examples():
-    assert depth_first_partition(K(4), 1) == SetPartition([[2, 3, 4]])
-    p4 = Graph(4, [(1, 2), (2, 3), (3, 4)])
-    assert depth_first_partition(p4, 1) == SetPartition([[2, 3, 4]])
-    star = Graph(4, [(1, 2), (1, 3), (1, 4)])
-    assert depth_first_partition(star, 1) == SetPartition([[2], [3], [4]])
-
-
-def test_depth_first_partition_matches_components_oracle():
-    for g in connected_graphs(4):
-        for r in g.vertices:
-            assert depth_first_partition(g, r) == \
-                g.restrict(g.vertices - {r}).components()
-
-
-def test_depth_first_partition_errors():
-    with pytest.raises(NotConnectedError):
-        depth_first_partition(Graph(3, [(1, 2)]), 1)
-    with pytest.raises(ValueError):
-        depth_first_partition(K(3), 9)
-
-
-def test_depth_first_partition_single_vertex():
-    assert depth_first_partition(Graph(1), 1) == SetPartition(())
 
 
 # --- skeleton -----------------------------------------------------------------------
@@ -157,7 +129,6 @@ def test_skeleton_forest_matches_per_component_skeletons():
         expected = RootedForest(skeleton(g.restrict(b)) for b in g.components())
         forest = skeleton_forest(g)
         assert forest == expected
-        assert forest.to_json_obj() == expected.to_json_obj()
     assert skeleton_forest(Graph(1)) == RootedForest([RootedTree(1)])
     assert skeleton_forest(Graph(())) == RootedForest(())
 

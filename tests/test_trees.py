@@ -7,8 +7,9 @@ from hypothesis import given, strategies as st
 
 from incrtree.brokencircuits import bcf_subforests
 from incrtree.graphs import (EXHAUSTIVE_LIMIT, BoundExceededError, Graph,
-                             connected_graphs, random_connected_graph,
-                             random_graph, set_partitions_of)
+                             SetPartition, connected_graphs,
+                             random_connected_graph, random_graph,
+                             set_partitions_of)
 from incrtree.checks import _bcf_by_subsets, check_tree_stream
 from incrtree.trees import (RootedForest, RootedTree, _supported_forests,
                             count_supported_trees, increasing_trees,
@@ -196,7 +197,7 @@ def test_count_supported_trees_on_restriction():
 def test_forest_canonical_order_and_partition():
     f = RootedForest([RootedTree(3, {4: 3}), RootedTree(1, {2: 1})])
     assert [t.root for t in f.components] == [1, 3]
-    assert f.partition().blocks == ((1, 2), (3, 4))
+    assert SetPartition(t.vertices for t in f.components).blocks == ((1, 2), (3, 4))
 
 
 def test_forest_rejects_overlap():
@@ -256,8 +257,10 @@ def test_forest_q_filter_concatenates():
     whole = list(supported_increasing_forests(g))
     by_q = [f for q in range(1, 5)
             for f in supported_increasing_forests(g, q=q)]
-    assert sorted(whole, key=lambda f: f.partition().blocks) == \
-        sorted(by_q, key=lambda f: f.partition().blocks)
+    def blocks(f):
+        return SetPartition(t.vertices for t in f.components).blocks
+
+    assert sorted(whole, key=blocks) == sorted(by_q, key=blocks)
     assert len(whole) == len(by_q)
 
 
