@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import itertools
 
-from .graphs import Graph, check_limit
+from .graphs import Graph, _eliminate, check_limit
 from .skeleton import skeleton
 from .trees import RootedTree, _supported_forests
 
@@ -34,36 +34,13 @@ def _check_spanning_subtree(t: Graph, g: Graph) -> None:
         raise ValueError("expected a spanning tree")
 
 
-def _smallest_closers(h: Graph, g: Graph):
-    """Yield every edge e of g whose endpoints are joined by a path of
-    h-edges all larger than e.
-
-    Such an e is the smallest edge of the circuit it closes, and the path is
-    a broken circuit inside h.  One union-find pass over g's edges from the
-    largest down joins the h-edges, so when e arrives its endpoints share a
-    root exactly when the larger h-edges join them.
-    """
-    rep = {v: v for v in g.vertices}
-    for e in sorted(g.edges, reverse=True):
-        u, v = e
-        while rep[u] != u:
-            rep[u] = rep[rep[u]]
-            u = rep[u]
-        while rep[v] != v:
-            rep[v] = rep[rep[v]]
-            v = rep[v]
-        if u == v:
-            yield e
-        elif e in h.edges:
-            rep[u] = v
-
-
 def breaks_by_circuits(t: Graph, g: Graph) -> frozenset:
     """Edges of g outside the spanning subtree t that are the smallest edge
-    of the circuit they close: the edges whose endpoints larger t-edges
-    join.  No t-edge qualifies, since t holds no circuit."""
+    of the circuit they close: the closers of the elimination pass over g
+    that joins only t-edges (``graphs._eliminate``), whose endpoints larger
+    t-edges join.  No t-edge qualifies, since t holds no circuit."""
     _check_spanning_subtree(t, g)
-    return frozenset(_smallest_closers(t, g))
+    return frozenset(_eliminate(g.vertices, g.edges, t.edges)[1])
 
 
 def breaks_by_skeleton(t: Graph, g: Graph) -> frozenset:
@@ -87,13 +64,14 @@ def is_broken_circuit_free(h: Graph, g: Graph) -> bool:
     """True iff the spanning subgraph h contains no broken circuit of g.
 
     h holds a broken circuit exactly when some edge of g has its endpoints
-    joined by a path of larger h-edges (``_smallest_closers``).  An edge
-    inside h closing such a path makes h contain a circuit, so a BCF
+    joined by a path of larger h-edges: when the elimination pass over g
+    that joins only h-edges (``graphs._eliminate``) finds a closer.  An
+    edge inside h closing such a path makes h contain a circuit, so a BCF
     subgraph is always a forest.
     """
     if h.vertices != g.vertices or not h.edges <= g.edges:
         raise ValueError("expected a spanning subgraph of the host graph")
-    return next(_smallest_closers(h, g), None) is None
+    return not _eliminate(g.vertices, g.edges, h.edges)[1]
 
 
 def min_attachment_tree(tree: RootedTree, g: Graph):

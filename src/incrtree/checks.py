@@ -16,7 +16,8 @@ from math import factorial
 from .brokencircuits import (bcf_subforests, breaks_by_circuits,
                              breaks_by_skeleton, is_broken_circuit_free,
                              min_attachment_tree, spanning_subtrees)
-from .graphs import connected_graphs, format_graph, random_connected_graph
+from .graphs import (check_limit, connected_graphs, format_graph,
+                     random_connected_graph)
 from .invariants import (IntPoly, chromatic_poly_by_independent_sets,
                          chromatic_poly_by_subsets, chromatic_poly_from_forests,
                          collapse_by_shape, connected_subgraph_poly,
@@ -268,6 +269,8 @@ PER_SIZE_CHECKS = [
 
 def _edge_subsets(g):
     """Every edge subset of g, lexicographic on sorted edge lists."""
+    check_limit(len(g.vertices))
+
     def extend(head, rest):
         yield head
         for i, e in enumerate(rest):
@@ -282,6 +285,7 @@ def _bcf_by_subsets(g, q=None):
     subgraph is a forest, so it has q components exactly when it has n - q
     edges; combinations() walks just those, in the same order."""
     n = len(g.vertices)
+    check_limit(n)
     es = g.sorted_edges()
     if q is None:
         subsets = _edge_subsets(g)

@@ -75,14 +75,10 @@ def _require_connected(g: Graph):
         return
     # ten components of at most ten vertices each keep the message short;
     # ascending, the vertices meet the components in order of their minimum
-    rep = g._roots()
-    count = sum(v == r for v, r in rep.items())
-    shown = {}  # root -> the first eleven vertices of its component
-    for v in sorted(g.vertices):
-        r = v
-        while rep[r] != r:
-            r = rep[r]
-        rep[v] = r
+    parent, low = g._elimination_forest()
+    count = len(low) - len(parent)
+    shown = {}  # minimum -> the first eleven vertices of its component
+    for v, r in low.items():
         if r in shown:
             if len(shown[r]) <= 10:
                 shown[r].append(v)

@@ -58,6 +58,33 @@ def link(v: int, targets) -> frozenset[tuple[int, int]]:
     return frozenset(edge(v, w) for w in targets if w != v)
 
 
+def _eliminate(vertices, edges, joins) -> tuple[dict[int, int], list]:
+    """One union-find pass over edges from the largest down, linking the
+    ones in joins: the paper's algorithm k.
+
+    Every root is its component's minimum, and every joined vertex is at
+    least v, so when (v, w) arrives v is a root and only w's root r needs a
+    find.  If r == v, larger joins already connect v and w, and the edge,
+    the smallest of the circuit it closes, goes to closers.  Otherwise a
+    join hangs r below v.  With joins = edges, parent is the elimination
+    forest of the reversed vertex order (Liu 1990), every parent smaller
+    than its child; with joins a subgraph's edges, closers are the edges
+    whose endpoints a path of larger subgraph edges joins.
+    """
+    rep = {v: v for v in vertices}
+    parent: dict[int, int] = {}
+    closers = []
+    for e in sorted(edges, reverse=True):
+        v, r = e
+        while rep[r] != r:
+            rep[r] = r = rep[rep[r]]
+        if r == v:
+            closers.append(e)
+        elif e in joins:
+            parent[r] = rep[r] = v
+    return parent, closers
+
+
 class Graph:
     """Simple undirected graph on an explicit set of positive integer vertices.
 
@@ -107,44 +134,30 @@ class Graph:
             raise ValueError("restriction outside the vertex set")
         return Graph(vs, (e for e in self.edges if e[0] in vs and e[1] in vs))
 
-    def adjacency(self) -> dict[int, set[int]]:
-        adj: dict[int, set[int]] = {v: set() for v in self.vertices}
-        for u, v in self.edges:
-            adj[u].add(v)
-            adj[v].add(u)
-        return adj
-
-    def _roots(self) -> dict[int, int]:
-        """Union-find over the edges, halving paths: following the map from
-        any vertex ends at its component's root, which maps to itself.
-        The finds are inlined, as they run for every edge and vertex."""
-        rep = {v: v for v in self.vertices}
-        for u, v in self.edges:
-            while rep[u] != u:
-                rep[u] = u = rep[rep[u]]
-            while rep[v] != v:
-                rep[v] = v = rep[rep[v]]
-            if u != v:
-                rep[u] = v
-        return rep
+    def _elimination_forest(self) -> tuple[dict[int, int], dict[int, int]]:
+        """The parent map of ``_eliminate`` over all edges, and each vertex's
+        component minimum (its forest root), keyed in ascending order.
+        Ascending, a parent, always the smaller, is resolved before its child."""
+        parent, _ = _eliminate(self.vertices, self.edges, self.edges)
+        low: dict[int, int] = {}
+        for v in sorted(self.vertices):
+            low[v] = low[parent[v]] if v in parent else v
+        return parent, low
 
     def components(self) -> "SetPartition":
         """The maximal partition of the vertex set into connected blocks,
         from one union-find pass that builds no adjacency sets."""
-        rep = self._roots()
         blocks: dict[int, list[int]] = {}
-        for v in rep:
-            r = v
-            while rep[r] != r:
-                r = rep[r]
+        for v, r in self._elimination_forest()[1].items():
             blocks.setdefault(r, []).append(v)
         return SetPartition(blocks.values())
 
     def is_connected(self) -> bool:
-        """True iff the union-find pass leaves one root."""
+        """True iff the union-find pass links all but one vertex."""
         if not self.vertices:
             raise ValueError("connectivity is undefined for an empty vertex set")
-        return sum(v == r for v, r in self._roots().items()) == 1
+        parent, _ = _eliminate(self.vertices, self.edges, self.edges)
+        return len(parent) == len(self.vertices) - 1
 
     def __eq__(self, other):
         if not isinstance(other, Graph):

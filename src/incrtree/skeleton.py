@@ -5,9 +5,9 @@ increasing tree: root at the minimum vertex, split the remaining vertices
 into connected components, attach each component at its minimum vertex, and
 repeat inside every component.  That is the elimination tree of the
 reversed vertex order (J. W. H. Liu, SIAM J. Matrix Anal. Appl. 11, 1990),
-which one union-find pass over the edges builds in O(|E| log |V|).  The
-skeleton is always supported by the graph but need not be one of its
-subgraphs.
+which one union-find pass over the edges (``graphs._eliminate``) builds in
+O(|E| log |V|).  The skeleton is always supported by the graph but need not
+be one of its subgraphs.
 
 The preimage (fiber) of a tree R among the connected spanning subgraphs of
 G has product structure: a subgraph collapses to R exactly when it is the
@@ -26,26 +26,17 @@ from .trees import RootedForest, RootedTree
 
 
 def skeleton_forest(g: Graph) -> RootedForest:
-    """The skeleton tree of every connected component of g.
-
-    Edges (v, w) arrive by descending v, so the components of G[>v] are
-    complete when v's edges arrive.  Union-find represents each by its
-    minimum r; r becomes a child of v and its component merges into v's.
+    """The skeleton tree of every connected component of g: the parent map
+    of the elimination pass (``graphs._eliminate``), grouped into trees by
+    component minimum.  Ascending, each root comes before its descendants.
     """
-    rep = {v: v for v in g.vertices}
-    parent: dict[int, int] = {}
-    for v, r in sorted(g.edges, reverse=True):
-        while rep[r] != r:
-            rep[r] = rep[rep[r]]
-            r = rep[r]
-        if r != v:
-            parent[r] = v
-            rep[r] = v
-    # roots kept rep[r] == r; ascending, a parent is resolved before its child
-    trees: dict[int, dict[int, int]] = {v: {} for v in g.vertices if v not in parent}
-    for v in sorted(parent):
-        rep[v] = rep[parent[v]]
-        trees[rep[v]][v] = parent[v]
+    parent, low = g._elimination_forest()
+    trees: dict[int, dict[int, int]] = {}
+    for v, r in low.items():
+        if v == r:
+            trees[v] = {}
+        else:
+            trees[r][v] = parent[v]
     return RootedForest(RootedTree(r, ps) for r, ps in trees.items())
 
 

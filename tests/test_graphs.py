@@ -4,12 +4,13 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from incrtree import graphs
+from incrtree import cli, graphs
 from incrtree.graphs import (EXHAUSTIVE_LIMIT, MAX_VERTICES, BoundExceededError,
                              Graph, GraphFormatError,
                              SetPartition, all_graphs, connected_graphs,
                              edge, format_graph, link, parse_graph,
                              set_partitions_of)
+from incrtree.skeleton import skeleton_forest
 
 
 def K(n):
@@ -107,7 +108,10 @@ def test_component_blocks_are_connected():
 def components_by_search(g):
     """Oracle: depth-first search from each unseen vertex, ascending; each
     block is sorted and starts at its minimum."""
-    adj = g.adjacency()
+    adj = {v: set() for v in g.vertices}
+    for u, v in g.edges:
+        adj[u].add(v)
+        adj[v].add(u)
     seen, blocks = set(), []
     for start in sorted(g.vertices):
         if start not in seen:
@@ -124,16 +128,50 @@ def components_by_search(g):
 
 
 def test_components_match_search_oracle():
-    """The union-find components equal a graph search's, block order and
-    all, on random graphs with sparse labels and edge densities from empty
-    to complete."""
+    """The union-find components, the connectivity test and the vertex sets
+    of the skeleton forest's trees all agree with a graph search, block
+    order and all, on random graphs with sparse labels and edge densities
+    from empty to complete."""
     rng = random.Random(77)
     for _ in range(300):
         labels = rng.sample(range(1, 60), rng.randrange(1, 16))
         pairs = list(itertools.combinations(labels, 2))
         edges = rng.sample(pairs, rng.randrange(len(pairs) + 1))
         g = Graph(labels, edges)
-        assert g.components().blocks == components_by_search(g)
+        blocks = components_by_search(g)
+        assert g.components().blocks == blocks
+        assert g.is_connected() == (len(blocks) == 1)
+        assert tuple(tuple(sorted(t.vertices))
+                     for t in skeleton_forest(g).components) == blocks
+
+
+def test_disconnected_message_matches_search_oracle():
+    """The exit-3 message gives the component count and the first ten
+    components by minimum, ten vertices each, as a graph search finds them,
+    on disconnected graphs with sparse labels: each a union of 2 to 15
+    random trees on 2 to 59 scattered vertices."""
+    rng = random.Random(78)
+    many = large = 0
+    for _ in range(200):
+        labels = rng.sample(range(1, 500), rng.randrange(2, 60))
+        cuts = sorted(rng.sample(range(1, len(labels)),
+                                 rng.randrange(1, min(len(labels), 15))))
+        edges = []
+        for i, j in zip([0] + cuts, cuts + [len(labels)]):
+            part = labels[i:j]
+            edges += [(v, rng.choice(part[:k])) for k, v in enumerate(part) if k]
+        g = Graph(labels, edges)
+        blocks = components_by_search(g)
+        text = [" ".join(map(str, b[:10])) + (" ..." if len(b) > 10 else "")
+                for b in blocks[:10]] + (["..."] if len(blocks) > 10 else [])
+        with pytest.raises(cli.CliError) as info:
+            cli._require_connected(g)
+        assert info.value.code == cli.EXIT_DISCONNECTED
+        assert str(info.value) == \
+            f"graph is not connected ({len(blocks)} components: {' | '.join(text)})"
+        many += len(blocks) > 10
+        large += any(len(b) > 10 for b in blocks[:10])
+    assert many >= 20 and large >= 20
 
 
 # --- set partitions ----------------------------------------------------------

@@ -5,7 +5,8 @@ from math import comb, factorial
 import pytest
 
 from incrtree.brokencircuits import bcf_subforests, spanning_subtrees
-from incrtree.checks import _edge_subsets, check_eta_definition
+from incrtree.checks import (_bcf_by_subsets, _edge_subsets,
+                             check_eta_definition)
 
 from incrtree.graphs import (EXHAUSTIVE_LIMIT, BoundExceededError, Graph,
                              NotConnectedError, SetPartition, all_graphs,
@@ -105,7 +106,9 @@ def test_forest_routes_respect_limit():
                   chromatic_poly_by_subsets, chromatic_poly_by_independent_sets,
                   csf_y_by_subsets, csf_x_by_subsets,
                   lambda g: list(bcf_subforests(g)),
-                  lambda g: list(spanning_subtrees(g))):
+                  lambda g: list(spanning_subtrees(g)),
+                  lambda g: next(_edge_subsets(g)),
+                  lambda g: next(_bcf_by_subsets(g, 1))):
         with pytest.raises(BoundExceededError):
             route(big)
 
