@@ -24,7 +24,7 @@ import itertools
 
 from .graphs import Graph, _eliminate, check_limit
 from .skeleton import skeleton
-from .trees import RootedTree, _supported_forests
+from .trees import RootedTree, _supported_forests, supported_tree_sums
 
 
 def _check_spanning_subtree(t: Graph, g: Graph) -> None:
@@ -114,7 +114,8 @@ def _bcf_forests(g: Graph, q: int | None = None) -> list:
     By the bijection that forest is also the image's skeleton forest."""
     vs = sorted(g.vertices)
     images = []
-    for blocks, parents, counts, ends in _supported_forests(g, q):
+    sums = supported_tree_sums(g, lambda c: 1)
+    for blocks, parents, counts, ends in _supported_forests(g, sums, q):
         edges = [(vs[p], vs[e]) for p, c, e in zip(parents, counts, ends) if c]
         edges.sort()
         images.append((edges, blocks, parents))

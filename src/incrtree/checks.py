@@ -27,7 +27,7 @@ from .invariants import (IntPoly, chromatic_poly_by_independent_sets,
 from .skeleton import (attachments_cover, enumerate_fiber, fiber_edge_sets,
                        fiber_members, fiber_size, skeleton, splits_match)
 from .trees import (RootedTree, _supported_forests, count_supported_trees,
-                    increasing_trees, supported_increasing_forests)
+                    increasing_trees, supported_increasing_forests, supported_tree_sums)
 
 SELFCHECK_LIMIT = 6
 DEFAULT_SEED = 1729
@@ -197,7 +197,7 @@ def check_tree_stream(g):
     want = [t for t in increasing_trees(g.vertices) if t.is_supported_by(g)]
     vs = sorted(g.vertices)
     got = []
-    for _, *columns in _supported_forests(g, 1):
+    for _, *columns in _supported_forests(g, supported_tree_sums(g, lambda c: 1), 1):
         if any(column[0] for column in columns):
             _fail("tree stream sets a field of the root")
         parents, counts, ends = (column[1:] for column in columns)

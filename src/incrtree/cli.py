@@ -71,8 +71,11 @@ def _load_graph(path) -> Graph:
 
 
 def _require_connected(g: Graph):
-    if g.is_connected():
-        return
+    if not g.is_connected():
+        raise _disconnected(g)
+
+
+def _disconnected(g: Graph) -> CliError:
     # ten components of at most ten vertices each keep the message short;
     # ascending, the vertices meet the components in order of their minimum
     parent, low = g._elimination_forest()
@@ -86,10 +89,8 @@ def _require_connected(g: Graph):
             shown[r] = [v]
     text = [" ".join(map(str, b[:10])) + (" ..." if len(b) > 10 else "")
             for b in shown.values()] + (["..."] if count > 10 else [])
-    raise CliError(
-        EXIT_DISCONNECTED,
-        f"graph is not connected ({count} components: {' | '.join(text)})",
-    )
+    return CliError(EXIT_DISCONNECTED,
+                    f"graph is not connected ({count} components: {' | '.join(text)})")
 
 
 def _edges_text(g: Graph):
@@ -102,8 +103,10 @@ def _edges_text(g: Graph):
 
 def cmd_k(args) -> int:
     g = _load_graph(args.graphfile)
-    _require_connected(g)
-    tree = skeleton(g)
+    try:
+        tree = skeleton(g)  # one elimination pass, which also tests connectivity
+    except NotConnectedError:
+        raise _disconnected(g) from None
     if args.table:
         for v in sorted(tree.parent):
             print(f"{tree.parent[v]} -> {v}")
@@ -222,30 +225,28 @@ def cmd_fibers(args) -> int:
     text = list(map(str, vs))
     # one edge per vertex gives the trees; any nonempty subset, all members
     factor = [c if args.trees_only else (1 << c) - 1 for c in range(n)]
+    sums = supported_tree_sums(g, factor.__getitem__)  # full entry: what --list prints
+    listing = args.list and not args.table  # --table prints no members
+    if listing:
+        _check_listing("fibers --list members", sums[-1])
+        edges_text = _edges_text(g)
     by_counts = {}  # count column -> fiber size, record text from the size on
-    records, listed, members = [], [], 0
-    for _, parents, counts, _ in _supported_forests(g, 1):
+    records = []
+    for _, parents, counts, _ in _supported_forests(g, sums, 1):
         if counts not in by_counts:
             size = math.prod(map(factor.__getitem__, counts[1:]))
             by_counts[counts] = size, tail % (size, *counts[1:])
         size, rest = by_counts[counts]
         if args.table:
-            print(f"tree {_rooted_tree(vs, parents).to_json_obj()}  fiber_size {size}")
+            records.append(f"tree {_rooted_tree(vs, parents).to_json_obj()}  fiber_size {size}")
             continue
-        records.append(head % tuple(map(text.__getitem__, parents[1:])) + rest)
-        if args.list:
-            listed.append(parents)
-            members += size
-    if args.table:
-        return EXIT_OK
-    if args.list:
-        _check_listing("fibers --list members", members)
-        edges_text = _edges_text(g)
-        records = [record + ',"members":[' + ",".join(
-                       edges_text(sorted(m)) for m in
-                       fiber_members(g, _rooted_tree(vs, parents), args.trees_only)) + "]"
-                   for record, parents in zip(records, listed)]
-    print("[" + ",".join(record + "}" for record in records) + "]")
+        record = head % tuple(map(text.__getitem__, parents[1:])) + rest
+        if listing:
+            record += ',"members":[' + ",".join(
+                edges_text(sorted(m)) for m in
+                fiber_members(g, _rooted_tree(vs, parents), args.trees_only)) + "]"
+        records.append(record + "}")
+    print("\n".join(records) if args.table else "[" + ",".join(records) + "]")
     return EXIT_OK
 
 
@@ -255,15 +256,13 @@ def cmd_bcf(args) -> int:
     g = _load_graph(args.graphfile)
     _require_connected(g)
     if args.breaks_all:
-        # tau(G) <= C(|E|, n - 1): count the trees only if that bound passes
-        if math.comb(len(g.edges), len(g.vertices) - 1) > LISTING_LIMIT:
-            _check_listing("bcf --breaks-all spanning trees",
-                           supported_tree_sums(g, lambda c: c)[-1])
+        sums = supported_tree_sums(g, lambda c: c)  # full entry: tau(G), the trees listed
+        _check_listing("bcf --breaks-all spanning trees", sums[-1])
         # a spanning tree takes one edge of each attachment set of its
         # skeleton, and the smaller edges of each set are its breaks
         vs = sorted(g.vertices)
         records = []  # (edges, breaks, skeleton text); the edges tell any two apart
-        for _, parents, _, _ in _supported_forests(g, 1):
+        for _, parents, _, _ in _supported_forests(g, sums, 1):
             tree = _rooted_tree(vs, parents)
             sets, skel = fiber_edge_sets(g, tree).values(), _json(tree.to_json_obj())
             for picks in fiber_members(g, tree, True):

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import itertools
 
-from .graphs import Graph, NotConnectedError
+from .graphs import Graph, NotConnectedError, _eliminate
 from .trees import RootedForest, RootedTree
 
 
@@ -44,14 +44,15 @@ def skeleton(g: Graph) -> RootedTree:
     """Collapse a connected graph to an increasing tree.
 
     This is the elimination tree of the reversed vertex order (Liu 1990):
-    the one tree of ``skeleton_forest(g)``, or NotConnectedError.
+    the parent map of one elimination pass (``graphs._eliminate``), which
+    links all but one vertex exactly when g is connected, or NotConnectedError.
     """
     if not g.vertices:
         raise ValueError("need at least one vertex")
-    forest = skeleton_forest(g)
-    if forest.component_count() != 1:
+    parent, _ = _eliminate(g.vertices, g.edges, g.edges)
+    if len(parent) != len(g.vertices) - 1:
         raise NotConnectedError("only connected graphs have a skeleton tree")
-    return forest.components[0]
+    return RootedTree(min(g.vertices), parent)
 
 
 def fiber_edge_sets(g: Graph, tree: RootedTree) -> dict[int, frozenset]:

@@ -1,4 +1,4 @@
-"""Rooted trees and forests on ordered vertex sets.
+"""Rooted trees and forests on integer vertex sets in their natural order.
 
 A rooted tree is a parent map plus a root.  A tree is increasing when every
 vertex precedes all of its descendants; over integer vertices that is the
@@ -320,9 +320,11 @@ def supported_partitions(sums, vertices, mask: int, head: tuple = (),
                                             head + (block,), q)
 
 
-def _supported_forests(g: Graph, q: int | None = None):
-    """Stream the supported increasing forests of g off its count table, in
-    ``supported_increasing_forests`` order, as tuples (blocks, parents,
+def _supported_forests(g: Graph, sums, q: int | None = None):
+    """Stream the supported increasing forests of g off its count table sums,
+    a ``supported_tree_sums`` table of g of which only whether an entry is
+    nonzero is read, so any positive weight gives the same stream.  They come
+    in ``supported_increasing_forests`` order, as tuples (blocks, parents,
     counts, ends): the block masks by ascending minimum, then three columns
     of type bytes with one item per vertex position (vertex order).  Item i of
     each is position i's parent position, its attachment count c >= 1 in g
@@ -343,16 +345,15 @@ def _supported_forests(g: Graph, q: int | None = None):
     fields of low.  Every branch yields, so past the table the cost is in
     proportion to the output.  All trees on one block share their non-root
     positions and differ in some parent, so comparing their ints compares
-    their parent vectors, first vertex first: one ``sorted()`` gives the
-    ``increasing_trees`` order.
+    their parent vectors, first vertex first: sorting a block's list in
+    place gives the ``increasing_trees`` order.
     """
     vs, adj = _adjacency_masks(g)
     n = len(vs)
-    sums = supported_tree_sums(g, lambda c: 1)
     grown: dict[int, list[int]] = {}
 
     def grow(s):
-        # the packed trees on s, in the order made
+        # the packed trees on s, in the order made until s is a block
         if s in grown:
             return grown[s]
         root = s & -s
@@ -375,15 +376,10 @@ def _supported_forests(g: Graph, q: int | None = None):
         grown[s] = out
         return out
 
-    ordered: dict[int, list[int]] = {}
-
-    def block_trees(b):
-        if b not in ordered:
-            ordered[b] = sorted(grow(b))
-        return ordered[b]
-
     for blocks in supported_partitions(sums, mask_vertices(vs), (1 << n) - 1, q=q):
-        for packed in map(sum, itertools.product(*map(block_trees, blocks))):
+        for b in blocks:  # increasing_trees order, with no second list kept
+            grow(b).sort()
+        for packed in map(sum, itertools.product(*map(grow, blocks))):
             columns = packed.to_bytes(3 * n, "big")
             yield blocks, columns[:n], columns[n:2 * n], columns[2 * n:]
 
@@ -401,7 +397,8 @@ def supported_increasing_forests(g: Graph, q: int | None = None):
     """
     vs = sorted(g.vertices)
     vertices = mask_vertices(vs)
-    for blocks, parents, counts, _ in _supported_forests(g, q):
+    sums = supported_tree_sums(g, lambda c: 1)
+    for blocks, parents, counts, _ in _supported_forests(g, sums, q):
         parent = {v: vs[p] for v, p, c in zip(vs, parents, counts) if c}
         yield RootedForest(RootedTree(vertices[b][0], {v: parent[v] for v in vertices[b][1:]})
                            for b in blocks)

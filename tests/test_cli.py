@@ -18,8 +18,8 @@ from hypothesis import example, given, settings, strategies as st
 from incrtree import cli
 from incrtree.brokencircuits import breaks_by_circuits, spanning_subtrees
 from incrtree.cli import LISTING_LIMIT, main
-from incrtree.graphs import (MAX_VERTICES, Graph, SetPartition, format_graph,
-                             random_connected_graph)
+from incrtree.graphs import (MAX_VERTICES, Graph, SetPartition, _eliminate,
+                             format_graph, random_connected_graph)
 from incrtree.invariants import connected_subgraph_poly
 from incrtree.skeleton import skeleton
 from incrtree.trees import count_supported_trees, supported_tree_sums
@@ -42,6 +42,21 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def count_calls(monkeypatch, fn):
+    """Patch fn, in every incrtree module that holds it, with a wrapper that
+    counts its calls; return the list of their arguments."""
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return fn(*args)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("incrtree") and getattr(module, fn.__name__, None) is fn:
+            monkeypatch.setattr(module, fn.__name__, counting)
+    return calls
 
 
 # --- k ----------------------------------------------------------------------
@@ -90,6 +105,20 @@ def test_connectivity_builds_no_set_partition(graphfile, capsys, monkeypatch):
     assert (code, out) == (3, "")
     assert err == "graph is not connected (200000 components: " \
                   "1 | 2 | 3 | 4 | 5 | 6 | 7 | 8 | 9 | 10 | ...)\n"
+
+
+def test_k_runs_one_elimination_pass(graphfile, capsys, monkeypatch):
+    """On a connected graph the pass that builds the skeleton also tests
+    connectivity; the exit-3 message is built only when it fails."""
+    rng = random.Random(16)
+    labels = list(range(1, 201))
+    rng.shuffle(labels)
+    g = Graph(200, zip(labels, labels[1:]))
+    want = json.dumps(skeleton(g).to_json_obj(), separators=(",", ":")) + "\n"
+    path = graphfile(format_graph(g))
+    calls = count_calls(monkeypatch, _eliminate)
+    assert run(capsys, "k", path)[:2] == (0, want)
+    assert len(calls) == 1
 
 
 def test_parse_error_exit_code(graphfile, capsys):
@@ -345,6 +374,42 @@ def test_listings_past_the_limit_exit_4_at_once(graphfile, capsys, argv, what, c
     assert time.perf_counter() - start < 1
     assert (code, out) == (4, "")
     assert err == f"{what}: {count(g)}, more than the listing limit of {LISTING_LIMIT}\n"
+
+
+def test_fibers_list_refuses_before_the_stream(graphfile, capsys, monkeypatch):
+    """fibers --list reads its member count off the count table it streams
+    from: K10's 34,496,488,594,816 connected spanning subgraphs (OEIS
+    A001187) are refused before the first tree is streamed."""
+    def refuse(*_):
+        raise AssertionError("the stream started before the bound was checked")
+
+    monkeypatch.setattr(cli, "_supported_forests", refuse)
+    code, out, err = run(capsys, "fibers", graphfile(format_graph(Graph.complete(10))), "--list")
+    assert (code, out) == (4, "")
+    assert err == "fibers --list members: 34496488594816, more than the listing " \
+                  f"limit of {LISTING_LIMIT}\n"
+
+
+def test_bcf_breaks_all_builds_one_count_table(graphfile, capsys, monkeypatch):
+    """bcf --breaks-all checks tau(G) and streams from the same weight-c
+    table: one supported_tree_sums call for a graph with 20 edges whose
+    C(20, 7) = 77,520 edge sets hold 16,717 spanning trees."""
+    g = random_connected_graph(8, random.Random(3))
+    calls = count_calls(monkeypatch, supported_tree_sums)
+    code, out, _ = run(capsys, "bcf", graphfile(format_graph(g)), "--breaks-all")
+    assert code == 0
+    assert len(json.loads(out)) == 16_717
+    assert len(calls) == 1
+
+
+def test_fibers_table_ignores_list(graphfile, capsys, monkeypatch):
+    """--table prints no members, so with --list it neither checks the
+    listing limit nor prints anything but what --table alone prints."""
+    path = graphfile(format_graph(Graph.complete(7)))
+    monkeypatch.setattr(cli, "LISTING_LIMIT", 0)
+    table = run(capsys, "fibers", path, "--table")
+    assert table[0] == 0 and table[1].count("\n") == 720
+    assert run(capsys, "fibers", path, "--list", "--table") == table
 
 
 @pytest.mark.parametrize("argv, what, count", LISTINGS, ids=["fibers", "bcf"])

@@ -13,7 +13,7 @@ from incrtree.graphs import (EXHAUSTIVE_LIMIT, BoundExceededError, Graph,
 from incrtree.checks import _bcf_by_subsets, check_tree_stream
 from incrtree.trees import (RootedForest, RootedTree, _supported_forests,
                             count_supported_trees, increasing_trees,
-                            supported_increasing_forests)
+                            supported_increasing_forests, supported_tree_sums)
 
 
 def path_tree(*vertices):
@@ -334,6 +334,22 @@ def test_streams_on_a_vertex_set_with_gaps():
             assert list(bcf_subforests(h, q)) == list(_bcf_by_subsets(h, q))
 
 
+def test_any_positive_weight_gives_the_same_stream():
+    """The stream reads only whether a count-table entry is nonzero, so the
+    tables weighted by c (spanning trees) and by 2^c - 1 (connected spanning
+    subgraphs), which the listings check their bounds against, give the unit
+    table's stream at every q."""
+    rng = random.Random(1606)
+    for _ in range(30):
+        g = random_graph(rng.randint(1, 8), rng)
+        unit = supported_tree_sums(g, lambda c: 1)
+        for weight in (lambda c: c, lambda c: (1 << c) - 1):
+            sums = supported_tree_sums(g, weight)
+            for q in (None, *range(1, g.n + 1)):
+                assert list(_supported_forests(g, sums, q)) == \
+                    list(_supported_forests(g, unit, q))
+
+
 def test_vertex_positions_fit_in_a_byte():
     """The packed trees and the oracle table's keys hold a vertex position
     or an attachment count in one byte."""
@@ -349,7 +365,7 @@ def test_packed_fields_fit_positions_and_counts():
     count of 1 everywhere, and the path a count of 15 below vertex 2."""
     n = EXHAUSTIVE_LIMIT
     fan = Graph(n, [(1, v) for v in range(2, n + 1)] + [(v, v + 1) for v in range(2, n)])
-    stream = list(_supported_forests(fan, 1))
+    stream = list(_supported_forests(fan, supported_tree_sums(fan, lambda c: 1), 1))
     assert len(stream) == 2 ** (n - 2)
     (blocks, *star), (_, *path) = stream[0], stream[-1]
     assert blocks == ((1 << n) - 1,)
