@@ -23,7 +23,7 @@ from __future__ import annotations
 import itertools
 
 from .graphs import Graph, _eliminate, check_limit
-from .skeleton import skeleton
+from .skeleton import fiber_edge_sets, skeleton
 from .trees import RootedTree, _supported_forests, supported_tree_sums
 
 
@@ -51,12 +51,10 @@ def breaks_by_skeleton(t: Graph, g: Graph) -> frozenset:
     Always equals breaks_by_circuits.
     """
     _check_spanning_subtree(t, g)
-    collapsed = skeleton(t)
     out = set()
-    for v in sorted(collapsed.parent):
-        attach = collapsed.attachment_edges(v)
+    for attach in fiber_edge_sets(g, skeleton(t)).values():
         (kept,) = attach & t.edges
-        out.update(e for e in attach & g.edges if e < kept)
+        out.update(e for e in attach if e < kept)
     return frozenset(out)
 
 
@@ -81,17 +79,8 @@ def min_attachment_tree(tree: RootedTree, g: Graph):
     The result is broken circuit free and collapses back to the input tree.
     For an unsupported tree this returns None.
     """
-    if g.vertices != tree.vertices:
-        raise ValueError("tree and graph have different vertex sets")
-    if not tree.is_increasing():
-        raise ValueError("tree must be increasing")
-    chosen = []
-    for v in sorted(tree.parent):
-        available = tree.attachment_edges(v) & g.edges
-        if not available:
-            return None
-        chosen.append(min(available))
-    return g.spanning(chosen)
+    sets = fiber_edge_sets(g, tree).values()
+    return g.spanning(map(min, sets)) if all(sets) else None
 
 
 def spanning_subtrees(g: Graph):

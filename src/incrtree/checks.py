@@ -26,7 +26,7 @@ from .invariants import (IntPoly, chromatic_poly_by_independent_sets,
                          supported_forest_counts)
 from .skeleton import (attachments_cover, enumerate_fiber, fiber_edge_sets,
                        fiber_members, fiber_size, skeleton, splits_match)
-from .trees import (RootedTree, _supported_forests, count_supported_trees,
+from .trees import (_rooted_tree, _supported_forests, count_supported_trees,
                     increasing_trees, supported_increasing_forests, supported_tree_sums)
 
 SELFCHECK_LIMIT = 6
@@ -110,8 +110,8 @@ def check_eta_definition(g):
     for tree in increasing_trees(g.vertices):
         if tree.is_supported_by(g):
             term = one
-            for v in tree.parent:
-                term = term * (one_plus_t ** len(tree.attachment_edges(v) & g.edges) - one)
+            for es in fiber_edge_sets(g, tree).values():
+                term = term * (one_plus_t ** len(es) - one)
             total = total + term
     if total != connected_subgraph_poly_from_trees(g):
         _fail("tree route differs from the per-tree sum over supported trees")
@@ -143,9 +143,8 @@ def check_csf_structure(g):
 
 def check_break_routes(g):
     for t in spanning_subtrees(g):
-        collapsed = skeleton(t)
-        for v in collapsed.parent:
-            if len(collapsed.attachment_edges(v) & t.edges) != 1:
+        for v, es in fiber_edge_sets(t, skeleton(t)).items():
+            if len(es) != 1:
                 _fail(f"attachment set of {v} keeps != 1 tree edge")
         if breaks_by_skeleton(t, g) != breaks_by_circuits(t, g):
             _fail(f"break routes disagree on tree {sorted(t.edges)}")
@@ -197,12 +196,11 @@ def check_tree_stream(g):
     want = [t for t in increasing_trees(g.vertices) if t.is_supported_by(g)]
     vs = sorted(g.vertices)
     got = []
-    for _, *columns in _supported_forests(g, supported_tree_sums(g, lambda c: 1), 1):
+    for (block,), *columns in _supported_forests(g, supported_tree_sums(g, lambda c: 1), 1):
         if any(column[0] for column in columns):
             _fail("tree stream sets a field of the root")
-        parents, counts, ends = (column[1:] for column in columns)
-        got.append((RootedTree(vs[0], zip(vs[1:], (vs[p] for p in parents))),
-                    [(c, (vs[p], vs[e])) for p, c, e in zip(parents, counts, ends)]))
+        got.append((_rooted_tree(vs, block, columns[0]),
+                    [(c, (vs[p], vs[e])) for p, c, e in zip(*columns)][1:]))
     if [tree for tree, _ in got] != want:
         _fail("tree stream differs from filtering increasing_trees")
     for t, fields in got:

@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import operator
 import os
 import sys
 from pathlib import Path
@@ -28,7 +29,7 @@ from .invariants import (_csf_y_subset_terms, _csf_y_terms,
                          connected_subgraph_poly, connected_subgraph_poly_from_trees,
                          csf_x_by_subsets, csf_x_from_forests)
 from .skeleton import fiber_edge_sets, fiber_members, skeleton
-from .trees import RootedTree, _supported_forests, supported_tree_sums
+from .trees import _rooted_tree, _supported_forests, supported_tree_sums
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -99,6 +100,35 @@ def _edges_text(g: Graph):
     return lambda edges: "[" + ",".join(map(text.__getitem__, edges)) + "]"
 
 
+def _forest_text(g: Graph):
+    """The function giving the JSON text of a streamed forest of g
+    (``_supported_forests``) from its block masks and parent column: a
+    rooted tree for one block, else the list of its trees.  It holds n^2
+    entry texts, so make it once the count table has bounded n."""
+    vs = sorted(g.vertices)
+    # a vertex's entry by its parent's position: first in its tree, or later
+    first = [[f'"{v}":{u}' for u in vs] for v in vs]
+    later = [["," + e for e in es] for es in first]
+    templates = {}  # blocks -> text tables and the positions that index them
+
+    def write(blocks, parents):
+        # positions run block by block, each root first with its opening text, then 0
+        # again with the closing: roots hold parent 0, and 2+ positions gather a tuple
+        if blocks not in templates:
+            tables, order, opening = [], [], "" if len(blocks) == 1 else "["
+            for b in blocks:
+                at = [i for i in range(len(vs)) if b >> i & 1]
+                tables.append([opening + '{"root":%d,"parent":{' % vs[at[0]]])
+                tables += [(later if k else first)[i] for k, i in enumerate(at[1:])]
+                order += at
+                opening = "}},"
+            tables.append(["}}" if len(blocks) == 1 else "}}]"])
+            templates[blocks] = tables, operator.itemgetter(*order, 0)
+        tables, gather = templates[blocks]
+        return "".join(map(list.__getitem__, tables, gather(parents)))
+    return write
+
+
 # --- k ------------------------------------------------------------------------
 
 def cmd_k(args) -> int:
@@ -158,17 +188,14 @@ def cmd_invariants(args) -> int:
     trees_route, oracle_route = (_poly_routes if polyish else _csf_routes)(args.which, g)
     key = "coefficients" if polyish else "terms"
     # every route gives the JSON text of its value, so "both" compares texts
-    try:
-        if args.method == "both":
-            values = {"trees": trees_route(), "oracle": oracle_route()}
-            agree = values["trees"] == values["oracle"]
-            if agree:
-                values = {key: values["trees"]}
-        else:
-            agree = None
-            values = {key: (trees_route if args.method == "trees" else oracle_route)()}
-    except BoundExceededError as exc:
-        raise CliError(EXIT_BOUND, str(exc))
+    if args.method == "both":
+        values = {"trees": trees_route(), "oracle": oracle_route()}
+        agree = values["trees"] == values["oracle"]
+        if agree:
+            values = {key: values["trees"]}
+    else:
+        agree = None
+        values = {key: (trees_route if args.method == "trees" else oracle_route)()}
     if args.table:  # the Python form of each value, as --table always printed
         print(f"{args.which} ({args.method})")
         if key in values:
@@ -188,16 +215,6 @@ def cmd_invariants(args) -> int:
 
 # --- fibers ---------------------------------------------------------------------------
 
-def _slots(keys) -> str:
-    """JSON text of an object on the given keys with a %s slot per value."""
-    return "{" + ",".join(f'"{k}":%s' for k in keys) + "}"
-
-
-def _tree_template(root, keys) -> str:
-    """JSON text of a rooted tree with a %s slot for the parent of each key."""
-    return f'{{"root":{root},"parent":{_slots(keys)}}}'
-
-
 def _check_listing(what: str, count: int):
     """Refuse, before anything is written, a listing of more than
     LISTING_LIMIT items; what names the command and its items."""
@@ -206,45 +223,38 @@ def _check_listing(what: str, count: int):
                        f"{what}: {count}, more than the listing limit of {LISTING_LIMIT}")
 
 
-def _rooted_tree(vs, parents) -> RootedTree:
-    """The tree on the sorted vertices vs with a streamed tree's parent
-    column, whose root is at position 0."""
-    return RootedTree(vs[0], zip(vs[1:], map(vs.__getitem__, parents[1:])))
-
-
 def cmd_fibers(args) -> int:
     g = _load_graph(args.graphfile)
     _require_connected(g)
     vs = sorted(g.vertices)
     n = len(vs)
-    # A record fills one template from the columns of a streamed tree, whose
-    # root is at position 0.  Its fiber size and edge choices depend on the
-    # count column alone, so that part is filled once per distinct column.
-    head = '{"tree":' + _tree_template(vs[0], vs[1:]) + ',"fiber_size":"'
-    tail = '%s","edge_choices":' + _slots(vs[1:])
-    text = list(map(str, vs))
+    # A record is a tree's text, then its fiber size and edge choices, which
+    # the count column alone fixes, so each distinct column fills them once.
+    tail = ',"fiber_size":"%s","edge_choices":{' + ",".join(f'"{v}":%s' for v in vs[1:]) + "}"
     # one edge per vertex gives the trees; any nonempty subset, all members
     factor = [c if args.trees_only else (1 << c) - 1 for c in range(n)]
     sums = supported_tree_sums(g, factor.__getitem__)  # full entry: what --list prints
+    tree_text = _forest_text(g)
     listing = args.list and not args.table  # --table prints no members
     if listing:
         _check_listing("fibers --list members", sums[-1])
         edges_text = _edges_text(g)
     by_counts = {}  # count column -> fiber size, record text from the size on
     records = []
-    for _, parents, counts, _ in _supported_forests(g, sums, 1):
+    for blocks, parents, counts, _ in _supported_forests(g, sums, 1):
         if counts not in by_counts:
             size = math.prod(map(factor.__getitem__, counts[1:]))
             by_counts[counts] = size, tail % (size, *counts[1:])
         size, rest = by_counts[counts]
         if args.table:
-            records.append(f"tree {_rooted_tree(vs, parents).to_json_obj()}  fiber_size {size}")
+            tree = _rooted_tree(vs, blocks[0], parents)
+            records.append(f"tree {tree.to_json_obj()}  fiber_size {size}")
             continue
-        record = head % tuple(map(text.__getitem__, parents[1:])) + rest
+        record = '{"tree":' + tree_text(blocks, parents) + rest
         if listing:
             record += ',"members":[' + ",".join(
                 edges_text(sorted(m)) for m in
-                fiber_members(g, _rooted_tree(vs, parents), args.trees_only)) + "]"
+                fiber_members(g, _rooted_tree(vs, blocks[0], parents), args.trees_only)) + "]"
         records.append(record + "}")
     print("\n".join(records) if args.table else "[" + ",".join(records) + "]")
     return EXIT_OK
@@ -255,54 +265,40 @@ def cmd_fibers(args) -> int:
 def cmd_bcf(args) -> int:
     g = _load_graph(args.graphfile)
     _require_connected(g)
+    # a record is (edges, breaks, JSON text), the JSON with its skeleton: the
+    # supported tree whose fiber, or supported forest whose image, it is
+    edges_text = _edges_text(g)
     if args.breaks_all:
         sums = supported_tree_sums(g, lambda c: c)  # full entry: tau(G), the trees listed
         _check_listing("bcf --breaks-all spanning trees", sums[-1])
+        skeleton_text = _forest_text(g)
         # a spanning tree takes one edge of each attachment set of its
         # skeleton, and the smaller edges of each set are its breaks
         vs = sorted(g.vertices)
-        records = []  # (edges, breaks, skeleton text); the edges tell any two apart
-        for _, parents, _, _ in _supported_forests(g, sums, 1):
-            tree = _rooted_tree(vs, parents)
-            sets, skel = fiber_edge_sets(g, tree).values(), _json(tree.to_json_obj())
+        records = []  # the edges tell any two apart
+        for blocks, parents, _, _ in _supported_forests(g, sums, 1):
+            tree = _rooted_tree(vs, blocks[0], parents)
+            sets, skel = fiber_edge_sets(g, tree).values(), skeleton_text(blocks, parents)
             for picks in fiber_members(g, tree, True):
+                edges = sorted(picks)
                 breaks = sorted(e for es, kept in zip(sets, picks) for e in es if e < kept)
-                records.append((sorted(picks), breaks, skel))
+                records.append((edges, breaks, '{"edges":%s,"breaks":%s,"skeleton":%s}' % (
+                    edges_text(edges), edges_text(breaks), skel)))
         records.sort()
-        if args.table:
-            for edges, breaks, _ in records:
-                print(f"edges {list(map(list, edges))}  breaks {list(map(list, breaks))}")
-        else:
-            edges_text = _edges_text(g)
-            print("[" + ",".join('{"edges":%s,"breaks":%s,"skeleton":%s}' % (
-                edges_text(edges), edges_text(breaks), skel)
-                for edges, breaks, skel in records) + "]")
-        return EXIT_OK
-    forests = _bcf_forests(g, args.q)
+        table_line = "edges %s  breaks %s"
+    else:  # in edge-list order, with no breaks, which the table drops (%.0s)
+        records = _bcf_forests(g, args.q)
+        skeleton_text = _forest_text(g)
+        # in place, so the heap the garbage collector walks gains no tuple per forest
+        for i, (edges, blocks, parents) in enumerate(records):
+            records[i] = edges, (), '{"edges":%s,"skeleton":%s}' % (
+                edges_text(edges), skeleton_text(blocks, parents))
+        table_line = "edges %s%.0s"
     if args.table:
-        for edges, _, _ in forests:
-            print(f"edges {[list(e) for e in edges]}")
-        return EXIT_OK
-    # each BCF forest comes with the supported forest it is the image of,
-    # which is its skeleton: written as a tree for q = 1, else as a list
-    vs = sorted(g.vertices)
-    text = list(map(str, vs))
-    edges_text = _edges_text(g)
-    shapes = {}  # blocks -> skeleton template, positions filling its slots
-    records = []
-    for edges, blocks, parents in forests:
-        if blocks not in shapes:
-            trees, slots = [], []
-            for b in blocks:
-                at = [i for i in range(len(vs)) if b >> i & 1]
-                trees.append(_tree_template(vs[at[0]], [vs[i] for i in at[1:]]))
-                slots += at[1:]
-            shapes[blocks] = (trees[0] if args.q == 1 else "[" + ",".join(trees) + "]"), slots
-        template, slots = shapes[blocks]
-        records.append('{"edges":%s,"skeleton":%s}' % (
-            edges_text(edges),
-            template % tuple([text[parents[i]] for i in slots])))
-    print("[" + ",".join(records) + "]")
+        for edges, breaks, _ in records:
+            print(table_line % (list(map(list, edges)), list(map(list, breaks))))
+    else:
+        print("[" + ",".join(record[-1] for record in records) + "]")
     return EXIT_OK
 
 

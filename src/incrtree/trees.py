@@ -384,6 +384,13 @@ def _supported_forests(g: Graph, sums, q: int | None = None):
             yield blocks, columns[:n], columns[n:2 * n], columns[2 * n:]
 
 
+def _rooted_tree(vs, block: int, parents) -> RootedTree:
+    """The tree on one block of a streamed forest (``_supported_forests``), a
+    mask over the sorted vertices vs, with the forest's parent column."""
+    at = [i for i in range(len(vs)) if block >> i & 1]
+    return RootedTree(vs[at[0]], [(vs[i], vs[parents[i]]) for i in at[1:]])
+
+
 def supported_increasing_forests(g: Graph, q: int | None = None):
     """Stream the increasing forests whose components are supported by g.
 
@@ -396,9 +403,6 @@ def supported_increasing_forests(g: Graph, q: int | None = None):
     the output.
     """
     vs = sorted(g.vertices)
-    vertices = mask_vertices(vs)
     sums = supported_tree_sums(g, lambda c: 1)
-    for blocks, parents, counts, _ in _supported_forests(g, sums, q):
-        parent = {v: vs[p] for v, p, c in zip(vs, parents, counts) if c}
-        yield RootedForest(RootedTree(vertices[b][0], {v: parent[v] for v in vertices[b][1:]})
-                           for b in blocks)
+    for blocks, parents, _, _ in _supported_forests(g, sums, q):
+        yield RootedForest(_rooted_tree(vs, b, parents) for b in blocks)

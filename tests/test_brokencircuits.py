@@ -95,11 +95,12 @@ def test_breaks_match_definition():
 
 def test_breaks_requires_spanning_subtree():
     k3 = K(3)
-    with pytest.raises(ValueError):
-        breaks_by_circuits(k3.spanning([(1, 2)]), k3)          # not spanning tree
-    with pytest.raises(ValueError):
-        breaks_by_circuits(Graph(3, [(1, 2), (2, 3)]),
-                           Graph(3, [(1, 2), (1, 3)]))         # not a subgraph
+    for breaks in (breaks_by_circuits, breaks_by_skeleton):
+        with pytest.raises(ValueError):
+            breaks(k3.spanning([(1, 2)]), k3)                  # not spanning tree
+        with pytest.raises(ValueError):
+            breaks(Graph(3, [(1, 2), (2, 3)]),
+                   Graph(3, [(1, 2), (1, 3)]))                 # not a subgraph
 
 
 def test_exactly_one_tree_edge_per_attachment_set():
@@ -153,6 +154,10 @@ def test_min_attachment_unsupported_conventions():
     p3 = Graph(3, [(1, 2), (2, 3)])
     star = RootedTree(1, {2: 1, 3: 1})
     assert min_attachment_tree(star, p3) is None
+    with pytest.raises(ValueError, match="^tree and graph have different vertex sets$"):
+        min_attachment_tree(star, Graph(4, [(1, 2), (2, 3), (3, 4)]))
+    with pytest.raises(ValueError, match="^tree must be increasing$"):
+        min_attachment_tree(RootedTree(2, {1: 2, 3: 2}), p3)
 
 
 def test_min_attachment_images_have_no_breaks():

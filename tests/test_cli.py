@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import hashlib
 import io
@@ -298,11 +299,14 @@ def test_invariants_csf_y_both(graphfile, capsys):
 
 
 def test_invariants_oracle_over_bound(graphfile, capsys):
-    big = "n 17\n"
-    code, _, err = run(capsys, "invariants", "chromatic", graphfile(big),
-                       "--method", "oracle")
-    assert code == 4
-    assert "bound" in err
+    # eta needs a connected graph: on the edgeless n 17 it exits 3 first
+    edgeless = graphfile("n 17\n")
+    k17 = graphfile(format_graph(Graph.complete(17)), "k17.txt")
+    for which, path in [("chromatic", edgeless), ("csf-x", edgeless),
+                        ("csf-y", edgeless), ("eta", k17)]:
+        for method in ["trees", "oracle", "both"]:
+            assert run(capsys, "invariants", which, path, "--method", method) == (
+                4, "", "17 vertices exceeds the exhaustive enumeration bound of 16\n")
 
 
 # --- fibers --------------------------------------------------------------------------
@@ -570,6 +574,27 @@ def test_bcf_breaks_all_matches_the_subset_walk(graphfile, capsys, n, seed):
          "breaks": [list(e) for e in sorted(breaks_by_circuits(t, g))],
          "skeleton": skeleton(t).to_json_obj()}
         for t in spanning_subtrees(g)]
+
+
+@pytest.mark.parametrize("flags", [["--q", "1"], ["--q", "2"], ["--q", "3"], ["--breaks-all"]])
+def test_bcf_table_lists_the_json_records(graphfile, capsys, flags):
+    """Both writers list the same records in the same order: each --table
+    line reads back as the edges (and breaks) of the matching JSON record."""
+    rng = random.Random(1017)
+    for n in (1, 2, 3, 4, 5, 6, 7, 8, 8):
+        path = graphfile(format_graph(random_connected_graph(n, rng)))
+        code, out, _ = run(capsys, "bcf", path, *flags)
+        assert code == 0
+        keys = ["edges", "breaks"] if flags == ["--breaks-all"] else ["edges"]
+        want = [[r[k] for k in keys] for r in json.loads(out)]
+        code, out, _ = run(capsys, "bcf", path, *flags, "--table")
+        assert code == 0
+        got = []
+        for line in out.splitlines():
+            fields = line.split("  ")
+            assert [f.split(" ", 1)[0] for f in fields] == keys
+            got.append([ast.literal_eval(f.split(" ", 1)[1]) for f in fields])
+        assert got == want
 
 
 def test_bcf_with_q(graphfile, capsys):
