@@ -102,6 +102,9 @@ def _bcf_forests(g: Graph, q: int | None = None) -> list:
     supported increasing forest whose ``min_attachment_tree`` image it is.
     By the bijection that forest is also the image's skeleton forest."""
     vs = sorted(g.vertices)
+    check_limit(len(vs))
+    if q is not None and not 1 <= q <= len(vs):
+        return []  # no forest has fewer than 1 or more than n blocks
     images = []
     sums = supported_tree_sums(g, lambda c: 1)
     for blocks, parents, counts, ends in _supported_forests(g, sums, q):

@@ -16,8 +16,8 @@ from math import factorial
 from .brokencircuits import (bcf_subforests, breaks_by_circuits,
                              breaks_by_skeleton, is_broken_circuit_free,
                              min_attachment_tree, spanning_subtrees)
-from .graphs import (check_limit, connected_graphs, format_graph,
-                     random_connected_graph)
+from .graphs import (BoundExceededError, check_limit, connected_graphs,
+                     format_graph, random_connected_graph)
 from .invariants import (IntPoly, chromatic_poly_by_independent_sets,
                          chromatic_poly_by_subsets, chromatic_poly_from_forests,
                          collapse_by_shape, connected_subgraph_poly,
@@ -313,7 +313,8 @@ def run_selfcheck(max_n: int, seed: int = DEFAULT_SEED, report=print) -> bool:
     then returns False.
     """
     if not 1 <= max_n <= SELFCHECK_LIMIT:
-        raise ValueError(f"max_n must be between 1 and {SELFCHECK_LIMIT}")
+        raise BoundExceededError("max-n must be at least 1" if max_n < 1 else
+            f"selfcheck supports at most {SELFCHECK_LIMIT} vertices (requested {max_n})")
     total_graphs = 0
     total_checks = 0
     for n in range(1, max_n + 1):

@@ -14,6 +14,7 @@ JSON output is compact and byte deterministic for a fixed input and flags.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import operator
@@ -37,6 +38,8 @@ EXIT_PARSE = 2
 EXIT_DISCONNECTED = 3
 EXIT_BOUND = 4
 EXIT_PIPE = 141  # 128 + SIGPIPE, as a shell reports a process the signal ended
+_REFUSALS = {GraphFormatError: EXIT_PARSE, NotConnectedError: EXIT_DISCONNECTED,
+             BoundExceededError: EXIT_BOUND}  # main alone turns a refusal into its code
 
 # fibers --list and bcf --breaks-all refuse with EXIT_BOUND to list more
 # items than this.  On a 2-core Xeon with Python 3.11, bcf --breaks-all
@@ -44,12 +47,6 @@ EXIT_PIPE = 141  # 128 + SIGPIPE, as a shell reports a process the signal ended
 # edges) and fibers --list 208k to 275k members a second (K6, and n = 8
 # with 16 or 17 edges), so a run at the limit ends within about 1 s.
 LISTING_LIMIT = 60_000
-
-
-class CliError(Exception):
-    def __init__(self, code, message):
-        super().__init__(message)
-        self.code = code
 
 
 def _json(obj) -> str:
@@ -64,11 +61,11 @@ def _load_graph(path) -> Graph:
     try:
         data = sys.stdin.buffer.read() if path == "-" else Path(path).read_bytes()
     except OSError as exc:
-        raise CliError(EXIT_PARSE, f"cannot read {path}: {exc}")
+        raise GraphFormatError(f"cannot read {path}: {exc}")
     try:
         return parse_graph(data.decode("utf-8"))
     except (UnicodeDecodeError, GraphFormatError) as exc:
-        raise CliError(EXIT_PARSE, f"parse error: {exc}")
+        raise GraphFormatError(f"parse error: {exc}")
 
 
 def _require_connected(g: Graph):
@@ -76,7 +73,7 @@ def _require_connected(g: Graph):
         raise _disconnected(g)
 
 
-def _disconnected(g: Graph) -> CliError:
+def _disconnected(g: Graph) -> NotConnectedError:
     # ten components of at most ten vertices each keep the message short;
     # ascending, the vertices meet the components in order of their minimum
     parent, low = g._elimination_forest()
@@ -90,8 +87,8 @@ def _disconnected(g: Graph) -> CliError:
             shown[r] = [v]
     text = [" ".join(map(str, b[:10])) + (" ..." if len(b) > 10 else "")
             for b in shown.values()] + (["..."] if count > 10 else [])
-    return CliError(EXIT_DISCONNECTED,
-                    f"graph is not connected ({count} components: {' | '.join(text)})")
+    return NotConnectedError(
+        f"graph is not connected ({count} components: {' | '.join(text)})")
 
 
 def _edges_text(g: Graph):
@@ -219,8 +216,8 @@ def _check_listing(what: str, count: int):
     """Refuse, before anything is written, a listing of more than
     LISTING_LIMIT items; what names the command and its items."""
     if count > LISTING_LIMIT:
-        raise CliError(EXIT_BOUND,
-                       f"{what}: {count}, more than the listing limit of {LISTING_LIMIT}")
+        raise BoundExceededError(
+            f"{what}: {count}, more than the listing limit of {LISTING_LIMIT}")
 
 
 def cmd_fibers(args) -> int:
@@ -279,7 +276,7 @@ def cmd_bcf(args) -> int:
         for blocks, parents, _, _ in _supported_forests(g, sums, 1):
             tree = _rooted_tree(vs, blocks[0], parents)
             sets, skel = fiber_edge_sets(g, tree).values(), skeleton_text(blocks, parents)
-            for picks in fiber_members(g, tree, True):
+            for picks in itertools.product(*map(sorted, sets)):
                 edges = sorted(picks)
                 breaks = sorted(e for es, kept in zip(sets, picks) for e in es if e < kept)
                 records.append((edges, breaks, '{"edges":%s,"breaks":%s,"skeleton":%s}' % (
@@ -307,17 +304,7 @@ def cmd_bcf(args) -> int:
 def cmd_selfcheck(args) -> int:
     # imported here so that no other command loads, or without a bytecode
     # cache compiles, the self-check suite at start
-    from .checks import DEFAULT_SEED, SELFCHECK_LIMIT, run_selfcheck
-    if args.max_n > SELFCHECK_LIMIT:
-        print(
-            f"selfcheck supports at most {SELFCHECK_LIMIT} vertices "
-            f"(requested {args.max_n})",
-            file=sys.stderr,
-        )
-        return EXIT_BOUND
-    if args.max_n < 1:
-        print("max-n must be at least 1", file=sys.stderr)
-        return EXIT_BOUND
+    from .checks import DEFAULT_SEED, run_selfcheck
     ok = run_selfcheck(args.max_n, seed=DEFAULT_SEED if args.seed is None else args.seed)
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
@@ -361,10 +348,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_bcf = sub.add_parser("bcf", help="broken circuit free subtrees")
     p_bcf.add_argument("graphfile")
-    p_bcf.add_argument("--q", type=int, default=1,
-                       help="list BCF subforests with q components (default 1)")
-    p_bcf.add_argument("--breaks-all", action="store_true",
-                       help="list every spanning subtree with its breaks")
+    how = p_bcf.add_mutually_exclusive_group()
+    # a str default, which type converts, lets an explicit --q 1 conflict too
+    how.add_argument("--q", type=int, default="1",
+                     help="list BCF subforests with q components (default 1)")
+    how.add_argument("--breaks-all", action="store_true",
+                     help="list every spanning subtree with its breaks")
     _add_output_flags(p_bcf)
     p_bcf.set_defaults(fn=cmd_bcf)
 
@@ -380,15 +369,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except CliError as exc:
+    except tuple(_REFUSALS) as exc:
         print(str(exc), file=sys.stderr)
-        return exc.code
-    except NotConnectedError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_DISCONNECTED
-    except BoundExceededError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_BOUND
+        return _REFUSALS[type(exc)]
 
 
 def entry():

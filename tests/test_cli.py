@@ -16,7 +16,7 @@ from unittest import mock
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from incrtree import cli
+from incrtree import brokencircuits, cli
 from incrtree.brokencircuits import breaks_by_circuits, spanning_subtrees
 from incrtree.cli import LISTING_LIMIT, main
 from incrtree.graphs import (MAX_VERTICES, Graph, SetPartition, _eliminate,
@@ -246,6 +246,60 @@ def test_cli_exit_code_contract(argv, data, via_stdin):
             assert json.dumps(json.loads(out), separators=(",", ":")) + "\n" == out
     else:
         assert not out
+
+
+DISCONNECTED = "graph is not connected (2 components: 1 | 2 3)"
+BOUND = "17 vertices exceeds the exhaustive enumeration bound of 16"
+REFUSALS = [  # command (None: the graph file), input bytes, exit code, stderr
+    (["k", "/nonexistent/graph.txt"], None, 2, "cannot read /nonexistent/graph.txt: "
+     "[Errno 2] No such file or directory: '/nonexistent/graph.txt'"),
+    (["k", None], b"n 3\n1 2\n2 \xff3\n", 2,
+     "parse error: 'utf-8' codec can't decode byte 0xff in position 10: invalid start byte"),
+    (["k", None], b"n 3\n1 2\n1 2\n", 2, "parse error: line 3: duplicate edge 1 2"),
+    (["k", None], b"n 3\n2 3\n", 3, DISCONNECTED),
+    (["fibers", None], b"n 3\n2 3\n", 3, DISCONNECTED),
+    (["bcf", None], b"n 3\n2 3\n", 3, DISCONNECTED),
+    (["invariants", "eta", None], b"n 3\n2 3\n", 3, DISCONNECTED),
+    (["invariants", "chromatic", None], b"n 17\n", 4, BOUND),
+    # the vertex bound comes before bcf answers an impossible q
+    (["bcf", None, "--q", "0"], format_graph(Graph.complete(17)).encode(), 4, BOUND),
+    (["selfcheck", "--max-n", "7"], None, 4, "selfcheck supports at most 6 vertices (requested 7)"),
+    (["selfcheck", "--max-n", "0"], None, 4, "max-n must be at least 1"),
+]
+
+
+@pytest.mark.parametrize("argv, data, code, err", REFUSALS, ids=[
+    "missing-file", "not-utf-8", "duplicate-edge", "k-disconnected", "fibers-disconnected",
+    "bcf-disconnected", "eta-disconnected", "chromatic-n17", "bcf-q0-on-K17",
+    "selfcheck-max-n-7", "selfcheck-max-n-0"])
+def test_every_refusal_through_main(tmp_path, capsys, argv, data, code, err):
+    """main gives each refusal its exit code and prints only its message."""
+    path = tmp_path / "g.txt"
+    if data is not None:
+        path.write_bytes(data)
+    assert run(capsys, *[str(path) if a is None else a for a in argv]) == (code, "", err + "\n")
+
+
+@pytest.mark.parametrize("q", ["0", "17"])
+def test_bcf_impossible_q_builds_no_table(graphfile, capsys, monkeypatch, q):
+    """No forest on K16 has 0 or 17 blocks: bcf answers [] at once."""
+    def refuse(*_):
+        raise AssertionError("a count table was built")
+
+    monkeypatch.setattr(brokencircuits, "supported_tree_sums", refuse)
+    monkeypatch.setattr(cli, "supported_tree_sums", refuse)
+    path = graphfile(format_graph(Graph.complete(16)))
+    assert run(capsys, "bcf", path, "--q", q) == (0, "[]\n", "")
+
+
+@pytest.mark.parametrize("q", ["1", "2"])
+def test_bcf_q_and_breaks_all_exclude_each_other(graphfile, capsys, q):
+    with pytest.raises(SystemExit) as info:
+        main(["bcf", graphfile(K3), "--q", q, "--breaks-all"])
+    out, err = capsys.readouterr()
+    assert (info.value.code, out) == (2, "")
+    assert err.endswith("incrtree bcf: error: argument --breaks-all: "
+                        "not allowed with argument --q\n")
 
 
 # --- invariants --------------------------------------------------------------------

@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 
 from incrtree import cli, graphs
 from incrtree.graphs import (EXHAUSTIVE_LIMIT, MAX_VERTICES, BoundExceededError,
-                             Graph, GraphFormatError,
+                             Graph, GraphFormatError, NotConnectedError,
                              SetPartition, all_graphs, connected_graphs,
                              edge, format_graph, link, parse_graph,
                              set_partitions_of)
@@ -164,9 +164,8 @@ def test_disconnected_message_matches_search_oracle():
         blocks = components_by_search(g)
         text = [" ".join(map(str, b[:10])) + (" ..." if len(b) > 10 else "")
                 for b in blocks[:10]] + (["..."] if len(blocks) > 10 else [])
-        with pytest.raises(cli.CliError) as info:
+        with pytest.raises(NotConnectedError) as info:
             cli._require_connected(g)
-        assert info.value.code == cli.EXIT_DISCONNECTED
         assert str(info.value) == \
             f"graph is not connected ({len(blocks)} components: {' | '.join(text)})"
         many += len(blocks) > 10
