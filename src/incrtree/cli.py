@@ -6,9 +6,10 @@ route, ``fibers`` lists the per-tree fiber data, ``bcf`` lists broken
 circuit free subtrees with their collapsed trees, and ``selfcheck`` runs
 the identity suite over small graphs.
 
-Exit codes: 0 success, 1 self-check failure, 2 parse error, 3 connectivity
-precondition, 4 size bound exceeded, 141 stdout closed by its reader.  All
-JSON output is compact and byte deterministic for a fixed input and flags.
+Exit codes: 0 success, 1 self-check failure, 2 unreadable input (a parse
+error, a missing file or a closed stdin), 3 connectivity precondition, 4 size
+bound exceeded, 141 stdout closed, at the start or by its reader.  All JSON
+output is compact and byte deterministic for a fixed input and flags.
 """
 
 from __future__ import annotations
@@ -58,6 +59,8 @@ def _emit_json(obj):
 
 
 def _load_graph(path) -> Graph:
+    if path == "-" and sys.stdin is None:
+        raise GraphFormatError("cannot read -: standard input is closed")
     try:
         data = sys.stdin.buffer.read() if path == "-" else Path(path).read_bytes()
     except OSError as exc:
@@ -66,29 +69,6 @@ def _load_graph(path) -> Graph:
         return parse_graph(data.decode("utf-8"))
     except (UnicodeDecodeError, GraphFormatError) as exc:
         raise GraphFormatError(f"parse error: {exc}")
-
-
-def _require_connected(g: Graph):
-    if not g.is_connected():
-        raise _disconnected(g)
-
-
-def _disconnected(g: Graph) -> NotConnectedError:
-    # ten components of at most ten vertices each keep the message short;
-    # ascending, the vertices meet the components in order of their minimum
-    parent, low = g._elimination_forest()
-    count = len(low) - len(parent)
-    shown = {}  # minimum -> the first eleven vertices of its component
-    for v, r in low.items():
-        if r in shown:
-            if len(shown[r]) <= 10:
-                shown[r].append(v)
-        elif len(shown) < 10:
-            shown[r] = [v]
-    text = [" ".join(map(str, b[:10])) + (" ..." if len(b) > 10 else "")
-            for b in shown.values()] + (["..."] if count > 10 else [])
-    return NotConnectedError(
-        f"graph is not connected ({count} components: {' | '.join(text)})")
 
 
 def _edges_text(g: Graph):
@@ -130,10 +110,7 @@ def _forest_text(g: Graph):
 
 def cmd_k(args) -> int:
     g = _load_graph(args.graphfile)
-    try:
-        tree = skeleton(g)  # one elimination pass, which also tests connectivity
-    except NotConnectedError:
-        raise _disconnected(g) from None
+    tree = skeleton(g)  # one elimination pass, which also tests connectivity
     if args.table:
         for v in sorted(tree.parent):
             print(f"{tree.parent[v]} -> {v}")
@@ -146,15 +123,8 @@ def cmd_k(args) -> int:
 
 # --- invariants ------------------------------------------------------------------
 
-def _poly_routes(which, g):
-    if which == "eta":
-        _require_connected(g)
-        return (lambda: _json(connected_subgraph_poly_from_trees(g).to_list()),
-                lambda: _json(connected_subgraph_poly(g).to_list()))
-    # chromatic: the subset expansion is the oracle route; the independent-set
-    # partition oracle stays available for cross-checks in the library and tests
-    return (lambda: _json(chromatic_poly_from_forests(g).to_list()),
-            lambda: _json(chromatic_poly_by_subsets(g).to_list()))
+def _poly_json(poly):
+    return _json(poly.to_list())
 
 
 def _csf_x_json(terms):
@@ -162,37 +132,40 @@ def _csf_x_json(terms):
                   for shape in sorted(terms, reverse=True)])
 
 
-def _csf_y_text(vertices, terms) -> str:
-    """JSON text of refined power-sum terms, (block masks, coeff) pairs in
-    canonical order over the ``mask_vertices`` table vertices."""
+def _csf_y_text(value) -> str:
+    """JSON text of refined power-sum terms: value is the ``mask_vertices``
+    table and the (block masks, coeff) pairs over it, in canonical order."""
+    vertices, terms = value
     block_text = ["[" + ",".join(map(str, block)) + "]" for block in vertices]
     return "[" + ",".join(
         '{"blocks":[%s],"coeff":"%d"}' % (",".join(map(block_text.__getitem__, blocks)), c)
         for blocks, c in terms) + "]"
 
 
-def _csf_routes(which, g):
-    if which == "csf-x":
-        return (lambda: _csf_x_json(csf_x_from_forests(g)),
-                lambda: _csf_x_json(csf_x_by_subsets(g)))
-    return (lambda: _csf_y_text(*_csf_y_terms(g)),
-            lambda: _csf_y_text(*_csf_y_subset_terms(g)))
+# which -> (trees route, oracle route, JSON text writer of their value).
+# chromatic: the subset expansion is the oracle route; the independent-set
+# partition oracle stays available for cross-checks in the library and tests
+_INVARIANTS = {
+    "eta": (connected_subgraph_poly_from_trees, connected_subgraph_poly, _poly_json),
+    "chromatic": (chromatic_poly_from_forests, chromatic_poly_by_subsets, _poly_json),
+    "csf-x": (csf_x_from_forests, csf_x_by_subsets, _csf_x_json),
+    "csf-y": (_csf_y_terms, _csf_y_subset_terms, _csf_y_text),
+}
 
 
 def cmd_invariants(args) -> int:
     g = _load_graph(args.graphfile)
-    polyish = args.which in ("eta", "chromatic")
-    trees_route, oracle_route = (_poly_routes if polyish else _csf_routes)(args.which, g)
-    key = "coefficients" if polyish else "terms"
-    # every route gives the JSON text of its value, so "both" compares texts
+    trees_route, oracle_route, text = _INVARIANTS[args.which]
+    key = "coefficients" if args.which in ("eta", "chromatic") else "terms"
+    # every value is compared and printed as its JSON text
     if args.method == "both":
-        values = {"trees": trees_route(), "oracle": oracle_route()}
+        values = {"trees": text(trees_route(g)), "oracle": text(oracle_route(g))}
         agree = values["trees"] == values["oracle"]
         if agree:
             values = {key: values["trees"]}
     else:
         agree = None
-        values = {key: (trees_route if args.method == "trees" else oracle_route)()}
+        values = {key: text((trees_route if args.method == "trees" else oracle_route)(g))}
     if args.table:  # the Python form of each value, as --table always printed
         print(f"{args.which} ({args.method})")
         if key in values:
@@ -222,7 +195,7 @@ def _check_listing(what: str, count: int):
 
 def cmd_fibers(args) -> int:
     g = _load_graph(args.graphfile)
-    _require_connected(g)
+    g._require_connected()
     vs = sorted(g.vertices)
     n = len(vs)
     # A record is a tree's text, then its fiber size and edge choices, which
@@ -261,7 +234,7 @@ def cmd_fibers(args) -> int:
 
 def cmd_bcf(args) -> int:
     g = _load_graph(args.graphfile)
-    _require_connected(g)
+    g._require_connected()
     # a record is (edges, breaks, JSON text), the JSON with its skeleton: the
     # supported tree whose fiber, or supported forest whose image, it is
     edges_text = _edges_text(g)
@@ -375,6 +348,8 @@ def main(argv=None) -> int:
 
 
 def entry():
+    if sys.stdout is None:  # started with stdout closed: no output can be written
+        raise SystemExit(EXIT_PIPE)
     try:
         code = main()
         sys.stdout.flush()  # a closed pipe raises here, not at exit

@@ -159,6 +159,29 @@ class Graph:
         parent, _ = _eliminate(self.vertices, self.edges, self.edges)
         return len(parent) == len(self.vertices) - 1
 
+    def _require_connected(self) -> dict[int, int]:
+        """The parent map of one ``_eliminate`` pass when it links all but one
+        vertex, else NotConnectedError naming the components (exit code 3)."""
+        if not self.vertices:
+            raise ValueError("connectivity is undefined for an empty vertex set")
+        parent, _ = _eliminate(self.vertices, self.edges, self.edges)
+        count = len(self.vertices) - len(parent)
+        if count == 1:
+            return parent
+        # ten components of at most ten vertices each keep the message short;
+        # ascending, the vertices meet the components in order of their minimum
+        shown = {}  # minimum -> the first eleven vertices of its component
+        for v, r in self._elimination_forest()[1].items():
+            if r in shown:
+                if len(shown[r]) <= 10:
+                    shown[r].append(v)
+            elif len(shown) < 10:
+                shown[r] = [v]
+        text = [" ".join(map(str, b[:10])) + (" ..." if len(b) > 10 else "")
+                for b in shown.values()] + (["..."] if count > 10 else [])
+        raise NotConnectedError(
+            f"graph is not connected ({count} components: {' | '.join(text)})")
+
     def __eq__(self, other):
         if not isinstance(other, Graph):
             return NotImplemented

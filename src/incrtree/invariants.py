@@ -22,7 +22,7 @@ from __future__ import annotations
 import functools
 import math
 
-from .graphs import Graph, NotConnectedError, SetPartition, check_limit
+from .graphs import Graph, SetPartition, check_limit
 from .trees import (_adjacency_masks, mask_vertices, submasks,
                     supported_partitions, supported_tree_sums)
 
@@ -180,8 +180,7 @@ def connected_subgraph_poly(g: Graph) -> IntPoly:
     Defining sum: one t^k term per connected spanning subgraph with k
     edges, read from the one-block entry of the edge-subset table.
     """
-    if not g.is_connected():
-        raise NotConnectedError("the connected-subgraph polynomial needs a connected graph")
+    g._require_connected()
     return _poly(_edge_subset_table(g)[bytes(len(g.vertices))], g)
 
 
@@ -196,8 +195,7 @@ def connected_subgraph_poly_from_trees(g: Graph) -> IntPoly:
     any weight(c) * T(B) * T(S - B) counts distinct k-edge subsets of g,
     at most C(|E|, k) < 2^w.  ``checks`` keeps the per-tree sum in IntPoly.
     """
-    if not g.is_connected():
-        raise NotConnectedError("the connected-subgraph polynomial needs a connected graph")
+    g._require_connected()
     t = 1 << (len(g.edges) + 1)
     return _poly(supported_tree_sums(g, lambda c: (1 + t) ** c - 1)[-1], g)
 

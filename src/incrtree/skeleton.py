@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import itertools
 
-from .graphs import Graph, NotConnectedError, _eliminate
+from .graphs import Graph
 from .trees import RootedForest, RootedTree
 
 
@@ -45,13 +45,10 @@ def skeleton(g: Graph) -> RootedTree:
 
     This is the elimination tree of the reversed vertex order (Liu 1990):
     the parent map of one elimination pass (``graphs._eliminate``), which
-    links all but one vertex exactly when g is connected, or NotConnectedError.
+    links all but one vertex exactly when g is connected, or NotConnectedError
+    naming the components.
     """
-    if not g.vertices:
-        raise ValueError("need at least one vertex")
-    parent, _ = _eliminate(g.vertices, g.edges, g.edges)
-    if len(parent) != len(g.vertices) - 1:
-        raise NotConnectedError("only connected graphs have a skeleton tree")
+    parent = g._require_connected()  # first, so an empty g is a ValueError
     return RootedTree(min(g.vertices), parent)
 
 

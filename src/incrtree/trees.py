@@ -204,9 +204,6 @@ def increasing_trees(vertices):
     if not vs:
         raise ValueError("need at least one vertex")
     check_limit(len(vs))
-    if len(vs) == 1:
-        yield RootedTree(vs[0])
-        return
     for picks in itertools.product(*(vs[:i] for i in range(1, len(vs)))):
         yield RootedTree(vs[0], dict(zip(vs[1:], picks)))
 

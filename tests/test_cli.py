@@ -122,6 +122,15 @@ def test_k_runs_one_elimination_pass(graphfile, capsys, monkeypatch):
     assert len(calls) == 1
 
 
+def test_invariants_eta_runs_one_elimination_pass_per_route(graphfile, capsys, monkeypatch):
+    """Each eta route tests connectivity with its own pass; the command
+    makes no check of its own."""
+    path = graphfile(K4)
+    calls = count_calls(monkeypatch, _eliminate)
+    assert run(capsys, "invariants", "eta", path)[0] == 0
+    assert len(calls) == 2
+
+
 def test_parse_error_exit_code(graphfile, capsys):
     code, _, err = run(capsys, "k", graphfile("n 3\n1 2\n1 2\n"))
     assert code == 2
@@ -167,6 +176,13 @@ def test_bad_input_stdin_exits_2(monkeypatch, capsys, data):
     code, out, err = run(capsys, "k", "-")
     assert (code, out) == (2, "")
     assert err.startswith("parse error") and "Traceback" not in err
+
+
+def test_closed_stdin_exits_2(monkeypatch, capsys):
+    """Started with stdin closed, Python sets sys.stdin to None: reading
+    the graph from - is a refusal, not a traceback."""
+    monkeypatch.setattr(sys, "stdin", None)
+    assert run(capsys, "k", "-") == (2, "", "cannot read -: standard input is closed\n")
 
 
 def test_k_reads_stdin(monkeypatch, capsys):
@@ -260,6 +276,9 @@ REFUSALS = [  # command (None: the graph file), input bytes, exit code, stderr
     (["fibers", None], b"n 3\n2 3\n", 3, DISCONNECTED),
     (["bcf", None], b"n 3\n2 3\n", 3, DISCONNECTED),
     (["invariants", "eta", None], b"n 3\n2 3\n", 3, DISCONNECTED),
+    # each eta route makes its own check
+    (["invariants", "eta", None, "--method", "trees"], b"n 3\n2 3\n", 3, DISCONNECTED),
+    (["invariants", "eta", None, "--method", "oracle"], b"n 3\n2 3\n", 3, DISCONNECTED),
     (["invariants", "chromatic", None], b"n 17\n", 4, BOUND),
     # the vertex bound comes before bcf answers an impossible q
     (["bcf", None, "--q", "0"], format_graph(Graph.complete(17)).encode(), 4, BOUND),
@@ -270,7 +289,8 @@ REFUSALS = [  # command (None: the graph file), input bytes, exit code, stderr
 
 @pytest.mark.parametrize("argv, data, code, err", REFUSALS, ids=[
     "missing-file", "not-utf-8", "duplicate-edge", "k-disconnected", "fibers-disconnected",
-    "bcf-disconnected", "eta-disconnected", "chromatic-n17", "bcf-q0-on-K17",
+    "bcf-disconnected", "eta-disconnected", "eta-trees-disconnected",
+    "eta-oracle-disconnected", "chromatic-n17", "bcf-q0-on-K17",
     "selfcheck-max-n-7", "selfcheck-max-n-0"])
 def test_every_refusal_through_main(tmp_path, capsys, argv, data, code, err):
     """main gives each refusal its exit code and prints only its message."""
@@ -496,6 +516,19 @@ def test_closed_stdout_exits_141_without_a_traceback(graphfile):
         err = proc.stderr.read()
         assert proc.wait(timeout=60) == 141
     assert b"Traceback" not in err
+
+
+def test_stdout_closed_at_start_exits_141(monkeypatch):
+    """Started with stdout closed, Python sets sys.stdout to None: no
+    output can be written, so the command does not run."""
+    def refuse(argv=None):
+        raise AssertionError("the command ran")
+
+    monkeypatch.setattr(sys, "stdout", None)
+    monkeypatch.setattr(cli, "main", refuse)
+    with pytest.raises(SystemExit) as info:
+        cli.entry()
+    assert info.value.code == 141
 
 
 def test_fibers_on_p14_skips_the_factorial_walk(graphfile, capsys):

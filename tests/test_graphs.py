@@ -4,13 +4,13 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from incrtree import cli, graphs
+from incrtree import graphs
 from incrtree.graphs import (EXHAUSTIVE_LIMIT, MAX_VERTICES, BoundExceededError,
                              Graph, GraphFormatError, NotConnectedError,
                              SetPartition, all_graphs, connected_graphs,
                              edge, format_graph, link, parse_graph,
                              set_partitions_of)
-from incrtree.skeleton import skeleton_forest
+from incrtree.skeleton import skeleton, skeleton_forest
 
 
 def K(n):
@@ -99,6 +99,15 @@ def test_is_connected():
         Graph(0).is_connected()
 
 
+def test_require_connected_returns_the_elimination_parents():
+    g = Graph(4, [(1, 3), (2, 3), (3, 4)])
+    assert g._require_connected() == g._elimination_forest()[0] == {2: 1, 3: 2, 4: 3}
+    assert Graph(1)._require_connected() == {}
+    with pytest.raises(ValueError) as info:
+        Graph(0)._require_connected()
+    assert type(info.value) is ValueError
+
+
 def test_component_blocks_are_connected():
     g = Graph(6, [(1, 2), (2, 3), (4, 5)])
     for block in g.components():
@@ -146,10 +155,11 @@ def test_components_match_search_oracle():
 
 
 def test_disconnected_message_matches_search_oracle():
-    """The exit-3 message gives the component count and the first ten
-    components by minimum, ten vertices each, as a graph search finds them,
-    on disconnected graphs with sparse labels: each a union of 2 to 15
-    random trees on 2 to 59 scattered vertices."""
+    """The exit-3 message, which Graph._require_connected and skeleton
+    raise, gives the component count and the first ten components by
+    minimum, ten vertices each, as a graph search finds them, on
+    disconnected graphs with sparse labels: each a union of 2 to 15 random
+    trees on 2 to 59 scattered vertices."""
     rng = random.Random(78)
     many = large = 0
     for _ in range(200):
@@ -164,10 +174,11 @@ def test_disconnected_message_matches_search_oracle():
         blocks = components_by_search(g)
         text = [" ".join(map(str, b[:10])) + (" ..." if len(b) > 10 else "")
                 for b in blocks[:10]] + (["..."] if len(blocks) > 10 else [])
-        with pytest.raises(NotConnectedError) as info:
-            cli._require_connected(g)
-        assert str(info.value) == \
-            f"graph is not connected ({len(blocks)} components: {' | '.join(text)})"
+        want = f"graph is not connected ({len(blocks)} components: {' | '.join(text)})"
+        for refuse in (g._require_connected, lambda: skeleton(g)):
+            with pytest.raises(NotConnectedError) as info:
+                refuse()
+            assert str(info.value) == want
         many += len(blocks) > 10
         large += any(len(b) > 10 for b in blocks[:10])
     assert many >= 20 and large >= 20

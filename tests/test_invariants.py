@@ -69,10 +69,11 @@ def test_connected_subgraph_poly_examples():
 
 
 def test_connected_subgraph_poly_requires_connected():
-    with pytest.raises(NotConnectedError):
-        connected_subgraph_poly(Graph(2))
-    with pytest.raises(NotConnectedError):
-        connected_subgraph_poly_from_trees(Graph(2))
+    """Both routes refuse with the component message of exit code 3."""
+    for route in (connected_subgraph_poly, connected_subgraph_poly_from_trees):
+        with pytest.raises(NotConnectedError) as info:
+            route(Graph(3, [(2, 3)]))
+        assert str(info.value) == "graph is not connected (2 components: 1 | 2 3)"
 
 
 def test_connected_subgraph_poly_respects_limit():

@@ -54,8 +54,16 @@ def test_skeleton_examples():
 
 
 def test_skeleton_rejects_disconnected():
-    with pytest.raises(NotConnectedError):
+    """The refusal names the components, in the words of exit code 3."""
+    with pytest.raises(NotConnectedError) as info:
         skeleton(Graph(3, [(2, 3)]))
+    assert str(info.value) == "graph is not connected (2 components: 1 | 2 3)"
+
+
+def test_skeleton_of_no_vertices_is_a_value_error():
+    with pytest.raises(ValueError) as info:
+        skeleton(Graph(()))
+    assert type(info.value) is ValueError
 
 
 def test_skeleton_matches_recursive_reference():
