@@ -8,8 +8,9 @@ the identity suite over small graphs.
 
 Exit codes: 0 success, 1 self-check failure, 2 unreadable input (a parse
 error, a missing file or a closed stdin), 3 connectivity precondition, 4 size
-bound exceeded, 141 stdout closed, at the start or by its reader.  All JSON
-output is compact and byte deterministic for a fixed input and flags.
+bound exceeded, 5 stdout unwritable (a write error other than a closed pipe),
+141 stdout closed, at the start or by its reader.  All JSON output is
+compact and byte deterministic for a fixed input and flags.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ EXIT_CHECK_FAILED = 1
 EXIT_PARSE = 2
 EXIT_DISCONNECTED = 3
 EXIT_BOUND = 4
+EXIT_WRITE = 5
 EXIT_PIPE = 141  # 128 + SIGPIPE, as a shell reports a process the signal ended
 _REFUSALS = {GraphFormatError: EXIT_PARSE, NotConnectedError: EXIT_DISCONNECTED,
              BoundExceededError: EXIT_BOUND}  # main alone turns a refusal into its code
@@ -352,12 +354,14 @@ def entry():
         raise SystemExit(EXIT_PIPE)
     try:
         code = main()
-        sys.stdout.flush()  # a closed pipe raises here, not at exit
-    except BrokenPipeError:
-        # the reader left early, as `| head` does: point fd 1 at devnull so
-        # the flush at exit stays quiet, and exit as SIGPIPE would
+        sys.stdout.flush()  # a write error raises here at the latest, not at exit
+    except OSError as exc:  # a closed pipe, or another write error such as a full disk
+        # point fd 1 at devnull so the flush at exit stays quiet; a reader that
+        # left early, as `| head` does, gets the exit SIGPIPE would give
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        code = EXIT_PIPE
+        code = EXIT_PIPE if isinstance(exc, BrokenPipeError) else EXIT_WRITE
+        if code == EXIT_WRITE:
+            print(f"cannot write to stdout: {exc}", file=sys.stderr)
     raise SystemExit(code)
 
 

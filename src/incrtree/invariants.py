@@ -23,7 +23,7 @@ import functools
 import math
 
 from .graphs import Graph, SetPartition, check_limit
-from .trees import (_adjacency_masks, mask_vertices, submasks,
+from .trees import (_adjacency_masks, _blocks, mask_vertices,
                     supported_partitions, supported_tree_sums)
 
 
@@ -239,8 +239,8 @@ def chromatic_poly_by_independent_sets(g: Graph) -> IntPoly:
         nbrs = adj[low.bit_length() - 1]
         independent[mask] = independent[mask ^ low] and not nbrs & mask
         choices = (mask ^ low) & ~nbrs
-        parts[mask] = sum(parts[mask ^ low ^ extra] for extra in submasks(choices)
-                          if independent[extra]) << w
+        parts[mask] = sum(parts[mask ^ b] for b in _blocks(low | choices)
+                          if independent[b]) << w
     out, falling = IntPoly.zero(), IntPoly.one()
     for k in range(n + 1):
         out = out + falling * ((parts[-1] >> k * w) & ((1 << w) - 1))
@@ -281,10 +281,8 @@ def _forest_counts(g: Graph, grow, empty) -> dict:
     def split(mask: int) -> dict:
         if not mask:
             return {empty: 1}
-        low = mask & -mask
         out: dict = {}
-        for extra in submasks(mask ^ low):
-            block = low | extra
+        for block in _blocks(mask):
             ways = trees[block]
             if ways:
                 size = block.bit_count()

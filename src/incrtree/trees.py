@@ -15,7 +15,8 @@ Counting never walks the (m-1)! trees: a vertex's attachment set depends
 only on its parent and its subtree's vertex set, so a sum over supported
 trees of the product of int weight(c) over non-root vertices, each with
 c attachment edges in G, is one subset recursion (``supported_tree_sums``)
-of about 3^m/4 terms; forests split off the minimum vertex's block.
+of about 3^m/4 terms; forests split off the minimum vertex's block.  Every
+such recursion takes its blocks from one enumerator, ``_blocks``.
 
 Listing does not walk them either.  The supported trees and forests are
 read off the nonzero entries of the count table, each with its attachment
@@ -208,14 +209,16 @@ def increasing_trees(vertices):
         yield RootedTree(vs[0], dict(zip(vs[1:], picks)))
 
 
-def submasks(mask: int):
-    """Every sub-mask of mask, from mask itself down to 0."""
-    sub = mask
-    while True:
-        yield sub
-        if not sub:
-            return
-        sub = (sub - 1) & mask
+def _blocks(mask: int):
+    """The sub-masks of a nonzero mask that hold its lowest bit, from mask
+    itself down to that bit alone.  A step takes the next smaller sub-mask
+    of the rest, whose borrow passes through the lowest bit and so sets it."""
+    low = mask & -mask
+    b = mask
+    while b != low:
+        yield b
+        b = (b - low - 1) & mask
+    yield low
 
 
 def _adjacency_masks(g: Graph) -> tuple[list[int], list[int]]:
@@ -256,11 +259,9 @@ def supported_tree_sums(g: Graph, weight) -> list[int]:
         if not below:
             sums[s] = 1
             continue
-        low = below & -below
         near = adj[root.bit_length() - 1]
         acc = 0
-        for extra in submasks(below ^ low):
-            b = low | extra
+        for b in _blocks(below):
             c = (near & b).bit_count()
             if c and sums[b] and sums[s ^ b]:
                 acc += weights[c] * sums[b] * sums[s ^ b]
@@ -309,9 +310,7 @@ def supported_partitions(sums, vertices, mask: int, head: tuple = (),
             if sums[mask]:
                 yield head + (mask,)
             return
-    low = mask & -mask
-    blocks = [low | extra for extra in submasks(mask ^ low)]
-    for block in sorted(blocks, key=vertices.__getitem__):
+    for block in sorted(_blocks(mask), key=vertices.__getitem__):
         if sums[block]:
             yield from supported_partitions(sums, vertices, mask ^ block,
                                             head + (block,), q)
@@ -362,8 +361,7 @@ def _supported_forests(g: Graph, sums, q: int | None = None):
         at = (n - low.bit_length()) * _FIELD_BITS  # low's field in the bottom section
         parent = (root.bit_length() - 1) << (at + 2 * n * _FIELD_BITS)
         out = []
-        for extra in submasks(below ^ low):
-            b = low | extra
+        for b in _blocks(below):
             hits = near & b
             if hits and sums[b] and sums[s ^ b]:
                 made = (parent | hits.bit_count() << (at + n * _FIELD_BITS)

@@ -125,6 +125,13 @@ def test_is_bcf_rejects_circuits():
     assert not is_broken_circuit_free(k3, k3)
 
 
+@pytest.mark.parametrize("h", [Graph(3, [(1, 2)]).restrict({1, 2}), Graph(3, [(1, 2)])],
+                         ids=["fewer vertices", "foreign edge"])
+def test_is_bcf_needs_a_spanning_subgraph(h):
+    with pytest.raises(ValueError, match="expected a spanning subgraph"):
+        is_broken_circuit_free(h, Graph(3, [(1, 3), (2, 3)]))
+
+
 def test_is_bcf_matches_literal_definition():
     for n in range(2, 5):
         for g in connected_graphs(n):

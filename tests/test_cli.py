@@ -16,7 +16,7 @@ from unittest import mock
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from incrtree import brokencircuits, cli
+from incrtree import brokencircuits, checks, cli
 from incrtree.brokencircuits import breaks_by_circuits, spanning_subtrees
 from incrtree.cli import LISTING_LIMIT, main
 from incrtree.graphs import (MAX_VERTICES, Graph, SetPartition, _eliminate,
@@ -72,6 +72,10 @@ def test_k_single_vertex(graphfile, capsys):
     code, out, _ = run(capsys, "k", graphfile("n 1\n"))
     assert code == 0
     assert out == '{"root":1,"parent":{}}\n'
+
+
+def test_k_table_single_vertex(graphfile, capsys):
+    assert run(capsys, "k", graphfile("n 1\n"), "--table") == (0, "single vertex 1\n", "")
 
 
 def test_k_disconnected_names_components(graphfile, capsys):
@@ -340,6 +344,15 @@ def test_invariants_eta_both(graphfile, capsys):
     assert data["coefficients"] == [0, 0, 3, 1]
 
 
+def test_invariants_both_table_shows_a_disagreement(graphfile, capsys, monkeypatch):
+    _, oracle, text = cli._INVARIANTS["chromatic"]
+    monkeypatch.setitem(cli._INVARIANTS, "chromatic", (oracle, lambda g: oracle(g) * 2, text))
+    code, out, _ = run(capsys, "invariants", "chromatic", graphfile(K3), "--table")
+    assert code == 0
+    assert out == ("chromatic (both)\ntrees : [0, 2, -3, 1]\n"
+                   "oracle: [0, 4, -6, 2]\nagree: False\n")
+
+
 def test_invariants_eta_disconnected(graphfile, capsys):
     code, _, err = run(capsys, "invariants", "eta", graphfile("n 2\n"))
     assert code == 3
@@ -501,21 +514,38 @@ def test_listing_at_the_limit_runs(graphfile, capsys, monkeypatch, argv, what, c
     assert run(capsys, argv[0], path, *argv[1:])[:2] == (4, "")
 
 
+def cli_env():
+    """The environment for running this checkout's CLI in a subprocess."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return dict(os.environ,
+                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 def test_closed_stdout_exits_141_without_a_traceback(graphfile):
     """A reader that stops early, as `| head -c 10` does, ends the run with
     128 + SIGPIPE and no traceback."""
     path = graphfile(format_graph(Graph.complete(9)))
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ,
-               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     with subprocess.Popen(
             [sys.executable, "-m", "incrtree.cli", "fibers", path, "--trees-only"],
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=cli_env()) as proc:
         assert len(proc.stdout.read(10)) == 10
         proc.stdout.close()
         err = proc.stderr.read()
         assert proc.wait(timeout=60) == 141
-    assert b"Traceback" not in err
+    assert err == b""
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("argv", [["k", None], ["selfcheck", "--max-n", "2"]])
+def test_full_stdout_exits_5_without_a_traceback(graphfile, argv):
+    """A write error other than a closed pipe, here a full device, ends the
+    run with exit 5 and one line on stderr; 1 stays a failed self-check."""
+    argv = [graphfile(K4) if a is None else a for a in argv]
+    with open("/dev/full", "wb") as full:
+        proc = subprocess.run([sys.executable, "-m", "incrtree.cli", *argv],
+                              stdout=full, stderr=subprocess.PIPE, env=cli_env(), timeout=60)
+    assert proc.returncode == 5
+    assert proc.stderr == b"cannot write to stdout: [Errno 28] No space left on device\n"
 
 
 def test_stdout_closed_at_start_exits_141(monkeypatch):
@@ -707,6 +737,39 @@ def test_selfcheck_small(capsys):
 def test_selfcheck_bound(capsys):
     code, _, err = run(capsys, "selfcheck", "--max-n", "7")
     assert code == 4
+
+
+def test_selfcheck_reports_a_failing_graph_property(capsys, monkeypatch):
+    def refute(g):
+        if len(g.vertices) == 2:
+            checks._fail("refuted")
+
+    monkeypatch.setattr(checks, "PER_GRAPH_CHECKS", [("refuter", 6, refute)])
+    lines = []
+    assert checks.run_selfcheck(3, report=lines.append) is False
+    assert lines == ["n=1: 1 connected graphs checked (exhaustive)",
+                     "FAIL refuter: refuted", "counterexample graph:", "n 2\n1 2"]
+    code, out, _ = run(capsys, "selfcheck", "--max-n", "3")
+    assert (code, out) == (1, "\n".join(lines) + "\n")
+
+
+def test_selfcheck_reports_a_failing_size_property(monkeypatch):
+    def refute(n):
+        if n == 2:
+            checks._fail("no trees")
+
+    monkeypatch.setattr(checks, "PER_SIZE_CHECKS", [("sizer", refute)])
+    lines = []
+    assert checks.run_selfcheck(3, report=lines.append) is False
+    assert lines[-1] == "FAIL sizer at n=2: no trees"
+
+
+def test_graphs_to_check_samples_100_connected_graphs_at_six():
+    first = [g.edges for g in checks.graphs_to_check(6, 7)]
+    assert len(first) == checks.SAMPLE_SIZE == 100
+    assert all(g.vertices == frozenset(range(1, 7)) and g.is_connected()
+               for g in checks.graphs_to_check(6, 7))
+    assert [g.edges for g in checks.graphs_to_check(6, 7)] == first
 
 
 # --- output determinism ----------------------------------------------------------------

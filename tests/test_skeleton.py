@@ -266,6 +266,12 @@ def test_splits_match_examples():
     assert splits_match(Graph(3, [(1, 2), (1, 3)]), RootedTree(1, {2: 1, 3: 1}))
 
 
+def test_splits_match_refuses_a_disconnected_subtree():
+    """Only the root's subtree can fail the connectivity test: a passing
+    parent check makes each child's subtree a component of g."""
+    assert not splits_match(Graph(3, [(2, 3)]), path_tree(1, 2, 3))
+
+
 def test_three_conditions_agree():
     for n in range(1, 5):
         for g in connected_graphs(n):
