@@ -97,22 +97,21 @@ def spanning_subtrees(g: Graph):
 
 def _bcf_forests(g: Graph, q: int | None = None) -> list:
     """The broken-circuit-free spanning subforests of g, in ``bcf_subforests``
-    order, as triples (edges, blocks, parents): the sorted edge list, and
-    the block masks and parent column (``_supported_forests``) of the
-    supported increasing forest whose ``min_attachment_tree`` image it is.
-    By the bijection that forest is also the image's skeleton forest."""
+    order, as triples (ranks, blocks, parents): the ranks of its edges in
+    ``g.sorted_edges()``, ascending, and the block masks and parent column
+    (``_supported_forests``) of the supported increasing forest whose
+    ``min_attachment_tree`` image it is.  By the bijection that forest is also
+    the image's skeleton forest.  Ranks sort as the edge lists they name."""
     vs = sorted(g.vertices)
     check_limit(len(vs))
     if q is not None and not 1 <= q <= len(vs):
         return []  # no forest has fewer than 1 or more than n blocks
-    images = []
+    index = {e: r for r, e in enumerate(g.sorted_edges())}
+    rank = [[index.get((u, v)) for v in vs] for u in vs]  # by the positions of its ends
     sums = supported_tree_sums(g, lambda c: 1)
-    for blocks, parents, counts, ends in _supported_forests(g, sums, q):
-        edges = [(vs[p], vs[e]) for p, c, e in zip(parents, counts, ends) if c]
-        edges.sort()
-        images.append((edges, blocks, parents))
-    images.sort()
-    return images
+    return sorted((tuple(sorted(rank[p][e] for p, c, e in zip(parents, counts, ends) if c)),
+                   blocks, parents)
+                  for blocks, parents, counts, ends in _supported_forests(g, sums, q))
 
 
 def bcf_subforests(g: Graph, q: int | None = None):
@@ -126,5 +125,6 @@ def bcf_subforests(g: Graph, q: int | None = None):
     each comes off the subset table as the smallest attachment edge below
     every non-root vertex.
     """
-    for edges, _, _ in _bcf_forests(g, q):
-        yield g.spanning(edges)
+    edges = g.sorted_edges()
+    for ranks, _, _ in _bcf_forests(g, q):
+        yield g.spanning(map(edges.__getitem__, ranks))

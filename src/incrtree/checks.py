@@ -200,12 +200,12 @@ def check_tree_stream(g):
         if any(column[0] for column in columns):
             _fail("tree stream sets a field of the root")
         got.append((_rooted_tree(vs, block, columns[0]),
-                    [(c, (vs[p], vs[e])) for p, c, e in zip(*columns)][1:]))
+                    [(c, vs[e]) for c, e in zip(*columns[1:])][1:]))
     if [tree for tree, _ in got] != want:
         _fail("tree stream differs from filtering increasing_trees")
-    for t, fields in got:
+    for t, fields in got:  # every attachment edge of v joins v's parent to v's subtree
         sets = fiber_edge_sets(g, t)
-        if fields != [(len(sets[v]), min(sets[v])) for v in sorted(sets)]:
+        if fields != [(len(sets[v]), min(sets[v])[1]) for v in sorted(sets)]:
             _fail(f"tree stream attachment counts differ at {t!r}")
 
 

@@ -44,11 +44,11 @@ EXIT_PIPE = 141  # 128 + SIGPIPE, as a shell reports a process the signal ended
 _REFUSALS = {GraphFormatError: EXIT_PARSE, NotConnectedError: EXIT_DISCONNECTED,
              BoundExceededError: EXIT_BOUND}  # main alone turns a refusal into its code
 
-# fibers --list and bcf --breaks-all refuse with EXIT_BOUND to list more
-# items than this.  On a 2-core Xeon with Python 3.11, bcf --breaks-all
-# lists 58k to 106k spanning trees a second (K7, and n = 8 with 21 or 22
-# edges) and fibers --list 208k to 275k members a second (K6, and n = 8
-# with 16 or 17 edges), so a run at the limit ends within about 1 s.
+# fibers --list and bcf --breaks-all refuse with EXIT_BOUND to list more items than this.
+# On a 2-core Xeon with Python 3.11, past the count table, bcf --breaks-all lists 90k to
+# 140k spanning trees a second on K7 and 51k on the 3x5 grid, fibers --list 370k to 400k
+# members a second on K6 and 63k trees (--trees-only) on the grid.  A run at the limit
+# ends within about 0.7 s on K7, but takes about 1.7 s on the grid, 0.46 s of it the table.
 LISTING_LIMIT = 60_000
 
 
@@ -73,10 +73,15 @@ def _load_graph(path) -> Graph:
         raise GraphFormatError(f"parse error: {exc}")
 
 
-def _edges_text(g: Graph):
-    """The function giving the JSON text of a list of g's edges, in order."""
-    text = {e: "[%d,%d]" % e for e in g.edges}
-    return lambda edges: "[" + ",".join(map(text.__getitem__, edges)) + "]"
+def _edges_text(g: Graph) -> list:
+    """The JSON text of each edge of g, by its rank in ``g.sorted_edges()``."""
+    return ["[%d,%d]" % e for e in g.sorted_edges()]
+
+
+def _ranked(g: Graph):
+    """The function sorting edges of g into their ranks in ``g.sorted_edges()``."""
+    rank = {e: r for r, e in enumerate(g.sorted_edges())}
+    return lambda edges: sorted(map(rank.__getitem__, edges))
 
 
 def _forest_text(g: Graph):
@@ -210,7 +215,7 @@ def cmd_fibers(args) -> int:
     listing = args.list and not args.table  # --table prints no members
     if listing:
         _check_listing("fibers --list members", sums[-1])
-        edges_text = _edges_text(g)
+        edges_text, ranked = _edges_text(g), _ranked(g)
     by_counts = {}  # count column -> fiber size, record text from the size on
     records = []
     for blocks, parents, counts, _ in _supported_forests(g, sums, 1):
@@ -225,7 +230,7 @@ def cmd_fibers(args) -> int:
         record = '{"tree":' + tree_text(blocks, parents) + rest
         if listing:
             record += ',"members":[' + ",".join(
-                edges_text(sorted(m)) for m in
+                "[" + ",".join(map(edges_text.__getitem__, ranked(m))) + "]" for m in
                 fiber_members(g, _rooted_tree(vs, blocks[0], parents), args.trees_only)) + "]"
         records.append(record + "}")
     print("\n".join(records) if args.table else "[" + ",".join(records) + "]")
@@ -237,40 +242,34 @@ def cmd_fibers(args) -> int:
 def cmd_bcf(args) -> int:
     g = _load_graph(args.graphfile)
     g._require_connected()
-    # a record is (edges, breaks, JSON text), the JSON with its skeleton: the
-    # supported tree whose fiber, or supported forest whose image, it is
-    edges_text = _edges_text(g)
+    # a record is (edge ranks, break ranks, blocks, parents), ranks ascending in
+    # g.sorted_edges(), None for --q breaks, blocks and parents those of its skeleton
+    records = [] if args.breaks_all else (  # a --q listing is in edge order already
+        (ranks, None, blocks, parents) for ranks, blocks, parents in _bcf_forests(g, args.q))
     if args.breaks_all:
         sums = supported_tree_sums(g, lambda c: c)  # full entry: tau(G), the trees listed
         _check_listing("bcf --breaks-all spanning trees", sums[-1])
-        skeleton_text = _forest_text(g)
         # a spanning tree takes one edge of each attachment set of its
         # skeleton, and the smaller edges of each set are its breaks
-        vs = sorted(g.vertices)
-        records = []  # the edges tell any two apart
+        vs, ranked = sorted(g.vertices), _ranked(g)
         for blocks, parents, _, _ in _supported_forests(g, sums, 1):
             tree = _rooted_tree(vs, blocks[0], parents)
-            sets, skel = fiber_edge_sets(g, tree).values(), skeleton_text(blocks, parents)
-            for picks in itertools.product(*map(sorted, sets)):
-                edges = sorted(picks)
-                breaks = sorted(e for es, kept in zip(sets, picks) for e in es if e < kept)
-                records.append((edges, breaks, '{"edges":%s,"breaks":%s,"skeleton":%s}' % (
-                    edges_text(edges), edges_text(breaks), skel)))
-        records.sort()
-        table_line = "edges %s  breaks %s"
-    else:  # in edge-list order, with no breaks, which the table drops (%.0s)
-        records = _bcf_forests(g, args.q)
-        skeleton_text = _forest_text(g)
-        # in place, so the heap the garbage collector walks gains no tuple per forest
-        for i, (edges, blocks, parents) in enumerate(records):
-            records[i] = edges, (), '{"edges":%s,"skeleton":%s}' % (
-                edges_text(edges), skeleton_text(blocks, parents))
-        table_line = "edges %s%.0s"
-    if args.table:
-        for edges, breaks, _ in records:
-            print(table_line % (list(map(list, edges)), list(map(list, breaks))))
-    else:
-        print("[" + ",".join(record[-1] for record in records) + "]")
+            sets = [ranked(es) for es in fiber_edge_sets(g, tree).values()]
+            for picks in itertools.product(*sets):
+                breaks = sorted(r for rs, kept in zip(sets, picks) for r in rs if r < kept)
+                records.append((tuple(sorted(picks)), tuple(breaks), blocks, parents))
+        records.sort()  # the edges tell any two apart
+    if args.table:  # Python's text of each edge list, as --table always printed
+        edges = g.sorted_edges()
+        for ranks, breaks, _, _ in records:
+            more = "" if breaks is None else "  breaks %s" % [list(edges[r]) for r in breaks]
+            print("edges %s%s" % ([list(edges[r]) for r in ranks], more))
+        return EXIT_OK
+    text, skeleton_text = _edges_text(g), _forest_text(g)
+    print("[" + ",".join('{"edges":[%s]%s,"skeleton":%s}' % (
+        ",".join(map(text.__getitem__, ranks)),
+        "" if breaks is None else ',"breaks":[%s]' % ",".join(map(text.__getitem__, breaks)),
+        skeleton_text(blocks, parents)) for ranks, breaks, blocks, parents in records) + "]")
     return EXIT_OK
 
 

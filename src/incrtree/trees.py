@@ -371,7 +371,8 @@ def _supported_forests(g: Graph, sums, q: int | None = None):
         grown[s] = out
         return out
 
-    for blocks in supported_partitions(sums, mask_vertices(vs), (1 << n) - 1, q=q):
+    vertices = None if q == 1 else mask_vertices(vs)  # q = 1 yields the full mask, unsorted
+    for blocks in supported_partitions(sums, vertices, (1 << n) - 1, q=q):
         for b in blocks:  # increasing_trees order, with no second list kept
             grow(b).sort()
         for packed in map(sum, itertools.product(*map(grow, blocks))):

@@ -16,7 +16,7 @@ from unittest import mock
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from incrtree import brokencircuits, checks, cli
+from incrtree import brokencircuits, checks, cli, trees
 from incrtree.brokencircuits import breaks_by_circuits, spanning_subtrees
 from incrtree.cli import LISTING_LIMIT, main
 from incrtree.graphs import (MAX_VERTICES, Graph, SetPartition, _eliminate,
@@ -678,12 +678,18 @@ def test_bcf_breaks_all_k3(graphfile, capsys):
     assert [r["breaks"] for r in records] == [[], [], [[1, 2]]]
 
 
+# the 3x4 grid, labels 1-12 row by row, with its right and down edges
+GRID_3X4 = Graph(12, [(v, v + 1) for v in range(1, 13) if v % 4] +
+                 [(v, v + 4) for v in range(1, 9)])
+
+
 @pytest.mark.parametrize("n, seed", [(1, 0), (2, 1), (3, 2), (4, 3), (5, 4),
-                                     (6, 5), (7, 6), (7, 7)])
+                                     (6, 5), (7, 6), (7, 7), (12, "grid")])
 def test_bcf_breaks_all_matches_the_subset_walk(graphfile, capsys, n, seed):
     """The product listing equals the route it replaced: every (n-1)-edge
-    spanning tree, its breaks by circuits and the skeleton it collapses to."""
-    g = random_connected_graph(n, random.Random(seed))
+    spanning tree, its breaks by circuits and the skeleton it collapses to,
+    on seeded random graphs and on the 3x4 grid's 2,415 spanning trees."""
+    g = GRID_3X4 if seed == "grid" else random_connected_graph(n, random.Random(seed))
     code, out, _ = run(capsys, "bcf", graphfile(format_graph(g)), "--breaks-all")
     assert code == 0
     assert json.loads(out) == [
@@ -691,6 +697,23 @@ def test_bcf_breaks_all_matches_the_subset_walk(graphfile, capsys, n, seed):
          "breaks": [list(e) for e in sorted(breaks_by_circuits(t, g))],
          "skeleton": skeleton(t).to_json_obj()}
         for t in spanning_subtrees(g)]
+
+
+def test_q1_listings_build_no_mask_vertices_table(graphfile, capsys, monkeypatch):
+    """A one-block stream is the full vertex mask alone, which no partition
+    sort orders, so the listings that read one build no 2^n mask_vertices
+    table: each prints the same bytes with that table refused."""
+    path = graphfile(format_graph(Graph.complete(5)))
+    argvs = [["fibers"], ["fibers", "--list"], ["bcf", "--q", "1"], ["bcf", "--breaks-all"]]
+    want = [run(capsys, argv[0], path, *argv[1:]) for argv in argvs]
+
+    def refuse(vs):
+        raise AssertionError("mask_vertices table built")
+
+    monkeypatch.setattr(trees, "mask_vertices", refuse)
+    for argv, (code, out, err) in zip(argvs, want):
+        assert code == 0 and out
+        assert run(capsys, argv[0], path, *argv[1:]) == (code, out, err)
 
 
 @pytest.mark.parametrize("flags", [["--q", "1"], ["--q", "2"], ["--q", "3"], ["--breaks-all"]])

@@ -334,6 +334,19 @@ def test_streams_on_a_vertex_set_with_gaps():
             assert list(bcf_subforests(h, q)) == list(_bcf_by_subsets(h, q))
 
 
+def test_bcf_order_on_a_relabelled_grid_with_gaps():
+    """On ten vertices with gaps in their labels (a 2x5 grid, relabelled by a
+    seeded draw from 2-59), the BCF stream equals the subset walk over all
+    8,192 edge subsets, order included, at every q."""
+    rng = random.Random(2024)
+    label = rng.sample(range(2, 60), 10)
+    grid = [(i, i + 1) for i in range(10) if i % 5 != 4] + [(i, i + 5) for i in range(5)]
+    h = Graph(label, [(label[a], label[b]) for a, b in grid])
+    assert len(h.edges) == 13 and sorted(label) != list(range(2, 12))
+    for q in (None, *range(1, 11)):
+        assert list(bcf_subforests(h, q)) == list(_bcf_by_subsets(h, q))
+
+
 def test_any_positive_weight_gives_the_same_stream():
     """The stream reads only whether a count-table entry is nonzero, so the
     tables weighted by c (spanning trees) and by 2^c - 1 (connected spanning
