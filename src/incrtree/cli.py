@@ -60,6 +60,17 @@ def _emit_json(obj):
     print(_json(obj))
 
 
+def _write_joined(texts, opening: str, separator: str, closing: str):
+    """Write opening, then texts with separator between each two, then closing,
+    4096 texts to a write: a listing is never held whole, yet few writes."""
+    write, texts, sep = sys.stdout.write, iter(texts), ""
+    write(opening)
+    while chunk := list(itertools.islice(texts, 4096)):
+        write(sep + separator.join(chunk))
+        sep = separator
+    write(closing)
+
+
 def _load_graph(path) -> Graph:
     if path == "-" and sys.stdin is None:
         raise GraphFormatError("cannot read -: standard input is closed")
@@ -216,24 +227,26 @@ def cmd_fibers(args) -> int:
     if listing:
         _check_listing("fibers --list members", sums[-1])
         edges_text, ranked = _edges_text(g), _ranked(g)
-    by_counts = {}  # count column -> fiber size, record text from the size on
-    records = []
-    for blocks, parents, counts, _ in _supported_forests(g, sums, 1):
-        if counts not in by_counts:
-            size = math.prod(map(factor.__getitem__, counts[1:]))
-            by_counts[counts] = size, tail % (size, *counts[1:])
-        size, rest = by_counts[counts]
-        if args.table:
-            tree = _rooted_tree(vs, blocks[0], parents)
-            records.append(f"tree {tree.to_json_obj()}  fiber_size {size}")
-            continue
-        record = '{"tree":' + tree_text(blocks, parents) + rest
-        if listing:
-            record += ',"members":[' + ",".join(
-                "[" + ",".join(map(edges_text.__getitem__, ranked(m))) + "]" for m in
-                fiber_members(g, _rooted_tree(vs, blocks[0], parents), args.trees_only)) + "]"
-        records.append(record + "}")
-    print("\n".join(records) if args.table else "[" + ",".join(records) + "]")
+
+    def records():
+        by_counts = {}  # count column -> fiber size, record text from the size on
+        for blocks, parents, counts, _ in _supported_forests(g, sums, 1):
+            if counts not in by_counts:
+                size = math.prod(map(factor.__getitem__, counts[1:]))
+                by_counts[counts] = size, tail % (size, *counts[1:])
+            size, rest = by_counts[counts]
+            if args.table:
+                tree = _rooted_tree(vs, blocks[0], parents)
+                yield f"tree {tree.to_json_obj()}  fiber_size {size}"
+                continue
+            record = '{"tree":' + tree_text(blocks, parents) + rest
+            if listing:
+                record += ',"members":[' + ",".join(
+                    "[" + ",".join(map(edges_text.__getitem__, ranked(m))) + "]" for m in
+                    fiber_members(g, _rooted_tree(vs, blocks[0], parents), args.trees_only)) + "]"
+            yield record + "}"
+    # --table prints its lines as print("\n".join(...)) would
+    _write_joined(records(), *(("", "\n", "\n") if args.table else ("[", ",", "]\n")))
     return EXIT_OK
 
 
@@ -266,10 +279,11 @@ def cmd_bcf(args) -> int:
             print("edges %s%s" % ([list(edges[r]) for r in ranks], more))
         return EXIT_OK
     text, skeleton_text = _edges_text(g), _forest_text(g)
-    print("[" + ",".join('{"edges":[%s]%s,"skeleton":%s}' % (
+    _write_joined(('{"edges":[%s]%s,"skeleton":%s}' % (
         ",".join(map(text.__getitem__, ranks)),
         "" if breaks is None else ',"breaks":[%s]' % ",".join(map(text.__getitem__, breaks)),
-        skeleton_text(blocks, parents)) for ranks, breaks, blocks, parents in records) + "]")
+        skeleton_text(blocks, parents)) for ranks, breaks, blocks, parents in records),
+        "[", ",", "]\n")
     return EXIT_OK
 
 

@@ -6,8 +6,8 @@ into connected components, attach each component at its minimum vertex, and
 repeat inside every component.  That is the elimination tree of the
 reversed vertex order (J. W. H. Liu, SIAM J. Matrix Anal. Appl. 11, 1990),
 which one union-find pass over the edges (``graphs._eliminate``) builds in
-O(|E| log |V|).  The skeleton is always supported by the graph but need not
-be one of its subgraphs.
+O(|E| log |V|), which bounds ``skeleton`` as a whole.  The skeleton is
+always supported by the graph but need not be one of its subgraphs.
 
 The preimage (fiber) of a tree R among the connected spanning subgraphs of
 G has product structure: a subgraph collapses to R exactly when it is the

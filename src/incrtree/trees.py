@@ -43,6 +43,14 @@ from .graphs import Graph, check_limit, edge, link
 _FIELD_BITS = 8
 
 
+def _below(children: dict[int, list[int]], v: int) -> list[int]:
+    """v and every vertex below it in the child lists."""
+    out = [v]
+    for w in out:  # the list grows as it is read, level by level
+        out.extend(children[w])
+    return out
+
+
 class RootedTree:
     """Immutable rooted tree stored as a parent map.
 
@@ -62,19 +70,10 @@ class RootedTree:
             if p not in vertices:
                 raise ValueError(f"parent {p} of {v} is not a vertex")
             children[p].append(v)
-        # every vertex must reach the root, i.e. the parent map has no cycle
-        reaches = {root}
-        for v in parent:
-            trail = []
-            w = v
-            while w not in reaches:
-                if w in trail:
-                    raise ValueError("parent map contains a cycle")
-                trail.append(w)
-                w = parent[w]
-            reaches.update(trail)
-        for v in children:
-            children[v].sort()
+        # each non-root vertex has one parent, a vertex, so the walk down from
+        # the root meets every vertex exactly when none lies on or below a cycle
+        if len(_below(children, root)) < len(vertices):
+            raise ValueError("parent map contains a cycle")
         self.root = root
         self.parent = parent
         self._children = children
@@ -89,13 +88,7 @@ class RootedTree:
         """The set of descendants of v, including v itself."""
         if v not in self._vertices:
             raise ValueError(f"unknown vertex {v}")
-        out = []
-        stack = [v]
-        while stack:
-            w = stack.pop()
-            out.append(w)
-            stack.extend(self._children[w])
-        return frozenset(out)
+        return frozenset(_below(self._children, v))
 
     def parent_of(self, v: int) -> int:
         if v == self.root:

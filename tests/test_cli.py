@@ -10,6 +10,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import types
 from pathlib import Path
 from unittest import mock
 
@@ -653,6 +654,25 @@ def test_fibers_on_the_16_vertex_fan_matches_golden_digest(graphfile, capsys):
     (on_path,) = [r for r in records if r["tree"] == path]
     assert on_path["fiber_size"] == "32767"
     assert on_path["edge_choices"] == {"2": 15, **{str(v): 1 for v in range(3, 17)}}
+
+
+@pytest.mark.parametrize("argv, n, size, digest", [
+    (["fibers", "--trees-only"], 9, 6_539_971,
+     "cd741a263e3776be2db78c86fe1761ea1359aba6c8a36353630fc73ab775d297"),
+    (["bcf", "--q", "2"], 8, 1_848_350,
+     "1a0acf5133e0b7f4720845243fa0b777f387770cc6cd82c4a223f6f8e7460885"),
+], ids=["fibers-K9-trees-only", "bcf-K8-q2"])
+def test_listing_is_never_written_whole(graphfile, monkeypatch, argv, n, size, digest):
+    """A listing goes out a chunk at a time, so its whole text is never held:
+    the writes join to its bytes, recorded when each listing was one write,
+    and none of them is longer than a million characters."""
+    writes = []
+    monkeypatch.setattr(sys, "stdout", types.SimpleNamespace(write=writes.append))
+    assert main([argv[0], graphfile(format_graph(Graph.complete(n))), *argv[1:]]) == 0
+    text = "".join(writes)
+    assert len(text) == size
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+    assert max(map(len, writes)) <= 1_000_000
 
 
 # --- bcf ------------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 from math import factorial
 
 import pytest
@@ -11,6 +12,7 @@ from incrtree.graphs import (EXHAUSTIVE_LIMIT, BoundExceededError, Graph,
                              random_connected_graph, random_graph,
                              set_partitions_of)
 from incrtree.checks import _bcf_by_subsets, check_tree_stream
+from incrtree.skeleton import skeleton
 from incrtree.trees import (RootedForest, RootedTree, _supported_forests,
                             count_supported_trees, increasing_trees,
                             supported_increasing_forests, supported_tree_sums)
@@ -24,12 +26,30 @@ def path_tree(*vertices):
 # --- construction ------------------------------------------------------------
 
 def test_tree_validation():
-    with pytest.raises(ValueError):
-        RootedTree(1, {1: 2})            # root with a parent
-    with pytest.raises(ValueError):
-        RootedTree(1, {2: 3, 3: 2})      # cycle
-    with pytest.raises(ValueError):
-        RootedTree(1, {2: 9})            # parent outside the vertex set
+    with pytest.raises(ValueError, match="the root cannot have a parent"):
+        RootedTree(1, {1: 2})
+    for cyclic in ({2: 3, 3: 2},                # a 2-cycle and nothing else
+                   {2: 1, 3: 4, 4: 3},          # a 2-cycle beside a valid branch
+                   {2: 2},                      # a vertex that is its own parent
+                   {2: 1, 3: 5, 4: 3, 5: 4}):   # a 3-cycle beside a valid branch
+        with pytest.raises(ValueError, match="parent map contains a cycle"):
+            RootedTree(1, cyclic)
+    with pytest.raises(ValueError, match="parent 9 of 2 is not a vertex"):
+        RootedTree(1, {2: 9})
+    # a parent outside the vertex set is named before a cycle
+    with pytest.raises(ValueError, match="parent 9 of 5 is not a vertex"):
+        RootedTree(1, {3: 4, 4: 3, 5: 9})
+
+
+def test_deep_trees_build_in_linear_time():
+    """A path inserted deepest vertex first, as the elimination pass builds
+    the skeleton of a naturally labelled path, checks in one walk."""
+    start = time.perf_counter()
+    t = RootedTree(1, {v: v - 1 for v in range(30_000, 1, -1)})
+    assert time.perf_counter() - start < 1
+    start = time.perf_counter()
+    assert skeleton(Graph(30_000, [(v, v + 1) for v in range(1, 30_000)])) == t
+    assert time.perf_counter() - start < 1
 
 
 def test_single_vertex_tree():
