@@ -15,6 +15,15 @@ union of one nonempty subset of each per-vertex attachment set
 ``attachment_edges(v) & G.edges``.  That makes fibers enumerable and their
 sizes a product of (2^size - 1) factors, which is what the invariant
 formulas elsewhere in this package exploit.
+
+Every edge of G lies in at most one attachment set: {a, b} lies in the set
+of the child of a on b's root path when a is a proper ancestor of b, and in
+none otherwise.  So one walk down the tree, with the root path in hand,
+finds all the sets in O(|V| + |E|) (``trees._attachment_sets``), and every
+function here that reads attachment sets costs that much.  The walk shares
+nothing with the elimination pass, so ``attachments_cover``, the paper's
+characterization of skeleton(G) == R, certifies the paper's collapse k
+(``skeleton``) at any size.
 """
 
 from __future__ import annotations
@@ -22,7 +31,7 @@ from __future__ import annotations
 import itertools
 
 from .graphs import Graph
-from .trees import RootedForest, RootedTree
+from .trees import RootedForest, RootedTree, _attachment_sets
 
 
 def skeleton_forest(g: Graph) -> RootedForest:
@@ -55,13 +64,17 @@ def skeleton(g: Graph) -> RootedTree:
 def fiber_edge_sets(g: Graph, tree: RootedTree) -> dict[int, frozenset]:
     """Per-vertex attachment edges actually present in g, keyed by vertex.
 
-    The keys run over the non-root vertices in ascending order.
+    The keys run over the non-root vertices in ascending order.  One walk
+    down the tree finds every set, O(|V| + |E|): an edge of g joining a
+    vertex to one of its proper ancestors a lies in the set of a's child on
+    the way down, and any other edge in none.
     """
     if g.vertices != tree.vertices:
         raise ValueError("tree and graph have different vertex sets")
     if not tree.is_increasing():
         raise ValueError("tree must be increasing")
-    return {v: tree.attachment_edges(v) & g.edges for v in sorted(tree.parent)}
+    sets = _attachment_sets((tree,), g)
+    return {v: frozenset(sets[v]) for v in sorted(sets)}
 
 
 def fiber_size(g: Graph, tree: RootedTree) -> int:
@@ -130,14 +143,12 @@ def splits_match(g: Graph, tree: RootedTree) -> bool:
 def attachments_cover(g: Graph, tree: RootedTree) -> bool:
     """True iff every attachment set meets g and together they exhaust g.
 
-    This is the product-structure characterization of skeleton(g) == tree:
-    the per-vertex available attachment sets must all be nonempty and their
-    union must be the whole edge set of g.
+    This is the paper's characterization of skeleton(g) == tree: the
+    per-vertex available attachment sets must all be nonempty and their
+    union must be the whole edge set of g.  The sets come from one walk
+    down the tree (``fiber_edge_sets``) and are joined once, so the check
+    costs O(|V| + |E|) and shares nothing with the elimination pass that
+    builds the skeleton: it is a linear certificate for k (``skeleton``).
     """
-    available = fiber_edge_sets(g, tree)
-    union: frozenset = frozenset()
-    for es in available.values():
-        if not es:
-            return False
-        union |= es
-    return union == g.edges
+    sets = fiber_edge_sets(g, tree).values()
+    return all(sets) and frozenset().union(*sets) == g.edges

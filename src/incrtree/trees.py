@@ -51,6 +51,38 @@ def _below(children: dict[int, list[int]], v: int) -> list[int]:
     return out
 
 
+def _attachment_sets(trees, g: Graph) -> dict[int, list]:
+    """The edges of g in every attachment set of the disjoint trees, keyed by
+    non-root vertex, from one walk down each tree: O(|V| + |E|) in all.
+
+    The walk keeps the current root path, each vertex at its depth.  An edge
+    {a, b} of g lies in the set of the child of a on b's root path when a is
+    a proper ancestor of b, whichever of the two is smaller, and in no set
+    otherwise: an edge between two branches or two trees lies in none.
+    """
+    near: dict[int, list] = {v: [] for v in g.vertices}
+    for e in g.edges:
+        near[e[0]].append(e)
+        near[e[1]].append(e)
+    sets: dict[int, list] = {v: [] for t in trees for v in t.parent}
+    depth: dict[int, int] = {}
+    path: list[int] = []
+    for t in trees:
+        todo = [(t.root, 0)]
+        while todo:
+            b, d = todo.pop()
+            depth[b] = d
+            del path[d:]
+            path.append(b)
+            for e in near[b]:
+                a = e[0] + e[1] - b  # the other end
+                i = depth.get(a, d)  # the path's first d entries are b's ancestors
+                if i < d and path[i] == a:
+                    sets[path[i + 1]].append(e)
+            todo += [(c, d + 1) for c in t._children[b]]
+    return sets
+
+
 class RootedTree:
     """Immutable rooted tree stored as a parent map.
 
@@ -114,7 +146,7 @@ class RootedTree:
         """True iff every non-root vertex has an attachment edge present in g."""
         if g.vertices != self._vertices:
             raise ValueError("tree and graph have different vertex sets")
-        return all(self.attachment_edges(v) & g.edges for v in self.parent)
+        return all(_attachment_sets((self,), g).values())
 
     @property
     def edges(self) -> frozenset[tuple[int, int]]:
@@ -169,7 +201,7 @@ class RootedForest:
         """True iff every component is supported by g restricted to it."""
         if g.vertices != self.ground:
             raise ValueError("forest and graph have different vertex sets")
-        return all(t.is_supported_by(g.restrict(t.vertices)) for t in self.components)
+        return all(_attachment_sets(self.components, g).values())
 
     @property
     def edges(self) -> frozenset[tuple[int, int]]:

@@ -3,7 +3,8 @@ import random
 
 import pytest
 
-from incrtree.graphs import Graph, NotConnectedError, connected_graphs
+from incrtree.graphs import (Graph, NotConnectedError, connected_graphs,
+                             random_graph)
 from incrtree.skeleton import (attachments_cover, enumerate_fiber,
                                fiber_edge_sets, fiber_members, fiber_size,
                                skeleton, skeleton_forest, splits_match)
@@ -179,6 +180,28 @@ def test_fiber_edge_sets_examples():
         2: frozenset({(1, 2)}),
         3: frozenset(),
     }
+
+
+def test_fiber_edge_sets_match_the_per_vertex_definition():
+    """The one walk down the tree gives every vertex's attachment_edges in g,
+    keyed in ascending order, on every small connected graph and tree and
+    on random graphs, connected or not, with random trees and skeletons."""
+    def definition(g, t):
+        return [(v, t.attachment_edges(v) & g.edges) for v in sorted(t.parent)]
+
+    pairs = [(g, t) for n in range(1, 6) for g in connected_graphs(n)
+             for t in increasing_trees(g.vertices)]
+    assert len(pairs) == 17_710
+    rng = random.Random(2605)
+    for _ in range(300):
+        n = rng.randint(6, 40)
+        g = (random_graph(n, rng) if rng.random() < 0.3 else
+             random_sparse_graph(n, rng.randint(0, n), rng, connected=rng.random() < 0.5))
+        pairs.append((g, RootedTree(1, {v: rng.randint(1, v - 1) for v in range(2, n + 1)})))
+        if g.is_connected():
+            pairs.append((g, skeleton(g)))
+    for g, t in pairs:
+        assert list(fiber_edge_sets(g, t).items()) == definition(g, t)
 
 
 def test_fiber_edge_sets_vertex_mismatch():

@@ -6,16 +6,20 @@ from math import factorial
 import pytest
 from hypothesis import given, strategies as st
 
-from incrtree.brokencircuits import bcf_subforests
+from incrtree.brokencircuits import (bcf_subforests, breaks_by_circuits,
+                                     breaks_by_skeleton, is_broken_circuit_free,
+                                     min_attachment_tree)
 from incrtree.graphs import (EXHAUSTIVE_LIMIT, BoundExceededError, Graph,
                              SetPartition, connected_graphs,
                              random_connected_graph, random_graph,
                              set_partitions_of)
 from incrtree.checks import _bcf_by_subsets, check_tree_stream
-from incrtree.skeleton import skeleton
+from incrtree.skeleton import (attachments_cover, fiber_edge_sets, fiber_size,
+                               skeleton, skeleton_forest)
 from incrtree.trees import (RootedForest, RootedTree, _supported_forests,
                             count_supported_trees, increasing_trees,
                             supported_increasing_forests, supported_tree_sums)
+from test_skeleton import random_sparse_graph
 
 
 def path_tree(*vertices):
@@ -41,15 +45,39 @@ def test_tree_validation():
         RootedTree(1, {3: 4, 4: 3, 5: 9})
 
 
+def timed(f, *args):
+    """f(*args), which must return within a second."""
+    start = time.perf_counter()
+    out = f(*args)
+    assert time.perf_counter() - start < 1, f"{f.__qualname__} took over 1 s"
+    return out
+
+
 def test_deep_trees_build_in_linear_time():
     """A path inserted deepest vertex first, as the elimination pass builds
-    the skeleton of a naturally labelled path, checks in one walk."""
-    start = time.perf_counter()
-    t = RootedTree(1, {v: v - 1 for v in range(30_000, 1, -1)})
-    assert time.perf_counter() - start < 1
-    start = time.perf_counter()
-    assert skeleton(Graph(30_000, [(v, v + 1) for v in range(1, 30_000)])) == t
-    assert time.perf_counter() - start < 1
+    the skeleton of a naturally labelled path, checks in one walk, and each
+    reader of its attachment sets takes one walk down it.  So does each on
+    the skeleton of a shuffled sparse graph, where the paper's
+    characterization certifies k."""
+    n = 30_000
+    t = timed(RootedTree, 1, {v: v - 1 for v in range(n, 1, -1)})
+    g = Graph(n, [(v, v + 1) for v in range(1, n)])
+    assert timed(skeleton, g) == t
+    assert timed(fiber_edge_sets, g, t) == {v: {(v - 1, v)} for v in range(2, n + 1)}
+    assert timed(fiber_size, g, t) == 1
+    assert timed(attachments_cover, g, t)
+    assert timed(min_attachment_tree, t, g) == g
+    assert timed(t.is_supported_by, g)
+    assert timed(lambda: skeleton_forest(g).is_supported_by(g))
+
+    g = random_sparse_graph(20_000, 10_000, random.Random(2005))
+    t = timed(skeleton, g)
+    assert timed(attachments_cover, g, t)
+    v = next(v for v in sorted(t.parent) if t.parent[v] != t.root)
+    assert not timed(attachments_cover, g, RootedTree(t.root, {**t.parent, v: t.root}))
+    h = timed(min_attachment_tree, t, g)
+    assert timed(is_broken_circuit_free, h, g) and timed(skeleton, h) == t
+    assert timed(breaks_by_skeleton, h, g) == timed(breaks_by_circuits, h, g)
 
 
 def test_single_vertex_tree():
@@ -162,6 +190,47 @@ def test_support_needs_connected_graph():
                 continue
             for t in increasing_trees(g.vertices):
                 assert not t.is_supported_by(g)
+
+
+def test_support_of_non_increasing_trees():
+    """An edge lies in an attachment set whichever of its ends is the ancestor."""
+    p3 = Graph(3, [(1, 2), (2, 3)])
+    assert RootedTree(2, {1: 2, 3: 2}).is_supported_by(p3)
+    assert RootedTree(3, {1: 3, 2: 1}).is_supported_by(p3)
+    assert not RootedTree(3, {1: 3, 2: 1}).is_supported_by(Graph(3, [(1, 3), (2, 3)]))
+    assert not RootedTree(2, {1: 2, 3: 2}).is_supported_by(Graph(3, [(1, 2)]))
+
+
+@given(rooted_trees(), st.data())
+def test_support_matches_the_per_vertex_definition(t, data):
+    """Any rooted tree against any graph on its vertices, connected or not."""
+    pairs = list(itertools.combinations(sorted(t.vertices), 2))
+    mask = data.draw(st.integers(0, (1 << len(pairs)) - 1))
+    g = Graph(t.vertices, (e for i, e in enumerate(pairs) if mask >> i & 1))
+    assert t.is_supported_by(g) == all(t.attachment_edges(v) & g.edges for v in t.parent)
+
+
+def test_forest_support_is_per_component_support():
+    """Edges between components lie in no attachment set."""
+    rng = random.Random(1990)
+    seen = set()
+    for _ in range(400):
+        n = rng.randint(1, 9)
+        order = rng.sample(range(1, n + 1), n)
+        parent, top = {}, {order[0]: order[0]}
+        for i, v in enumerate(order[1:], start=1):
+            if rng.random() < 0.3:
+                top[v] = v
+            else:
+                parent[v] = order[rng.randrange(i)]
+                top[v] = top[parent[v]]
+        forest = RootedForest(RootedTree(r, {v: p for v, p in parent.items() if top[v] == r})
+                              for r in set(top.values()))
+        g = random_graph(n, rng)
+        want = all(t.is_supported_by(g.restrict(t.vertices)) for t in forest.components)
+        assert forest.is_supported_by(g) == want
+        seen.add(want)
+    assert seen == {True, False}
 
 
 def test_support_vertex_mismatch():
