@@ -26,8 +26,8 @@ from .invariants import (IntPoly, chromatic_poly_by_independent_sets,
                          supported_forest_counts)
 from .skeleton import (attachments_cover, enumerate_fiber, fiber_edge_sets,
                        fiber_members, fiber_size, skeleton, splits_match)
-from .trees import (_rooted_tree, _supported_forests, count_supported_trees,
-                    increasing_trees, supported_increasing_forests, supported_tree_sums)
+from .trees import (_attachment_ranks, _rooted_tree, _supported_forests, increasing_trees,
+                    count_supported_trees, supported_increasing_forests, supported_tree_sums)
 
 SELFCHECK_LIMIT = 6
 DEFAULT_SEED = 1729
@@ -191,22 +191,22 @@ def check_bcf_counts(g):
 
 def check_tree_stream(g):
     """The trees streamed off the count table are the supported increasing
-    trees in increasing_trees order, each vertex with its attachment count
-    and smallest attachment edge in g, and the root's fields are zero."""
+    trees in increasing_trees order, each vertex with its attachment count,
+    smallest attachment edge and attachment ranks in g; root fields are zero."""
     want = [t for t in increasing_trees(g.vertices) if t.is_supported_by(g)]
-    vs = sorted(g.vertices)
+    vs, edges, ranks = sorted(g.vertices), g.sorted_edges(), _attachment_ranks(g)
     got = []
     for (block,), *columns in _supported_forests(g, supported_tree_sums(g, lambda c: 1), 1):
         if any(column[0] for column in columns):
             _fail("tree stream sets a field of the root")
-        got.append((_rooted_tree(vs, block, columns[0]),
+        got.append((_rooted_tree(vs, block, columns[0]), columns[0],
                     [(c, vs[e]) for c, e in zip(*columns[1:])][1:]))
-    if [tree for tree, _ in got] != want:
+    if [tree for tree, *_ in got] != want:
         _fail("tree stream differs from filtering increasing_trees")
-    for t, fields in got:  # every attachment edge of v joins v's parent to v's subtree
-        sets = fiber_edge_sets(g, t)
-        if fields != [(len(sets[v]), min(sets[v])[1]) for v in sorted(sets)]:
-            _fail(f"tree stream attachment counts differ at {t!r}")
+    for t, parents, fields in got:  # each set joins v's parent to v's subtree
+        sets = [[edges.index(e) for e in sorted(es)] for es in fiber_edge_sets(g, t).values()]
+        if fields != [(len(rs), edges[rs[0]][1]) for rs in sets] or ranks(parents) != sets:
+            _fail(f"tree stream attachment sets differ at {t!r}")
 
 
 def check_forest_enumeration(g):

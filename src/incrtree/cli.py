@@ -31,8 +31,8 @@ from .invariants import (_csf_y_subset_terms, _csf_y_terms,
                          chromatic_poly_by_subsets, chromatic_poly_from_forests,
                          connected_subgraph_poly, connected_subgraph_poly_from_trees,
                          csf_x_by_subsets, csf_x_from_forests)
-from .skeleton import fiber_edge_sets, fiber_members, skeleton
-from .trees import _rooted_tree, _supported_forests, supported_tree_sums
+from .skeleton import _members, skeleton
+from .trees import _attachment_ranks, _rooted_tree, _supported_forests, supported_tree_sums
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -45,10 +45,10 @@ _REFUSALS = {GraphFormatError: EXIT_PARSE, NotConnectedError: EXIT_DISCONNECTED,
              BoundExceededError: EXIT_BOUND}  # main alone turns a refusal into its code
 
 # fibers --list and bcf --breaks-all refuse with EXIT_BOUND to list more items than this.
-# On a 2-core Xeon with Python 3.11, past the count table, bcf --breaks-all lists 90k to
-# 140k spanning trees a second on K7 and 51k on the 3x5 grid, fibers --list 370k to 400k
-# members a second on K6 and 63k trees (--trees-only) on the grid.  A run at the limit
-# ends within about 0.7 s on K7, but takes about 1.7 s on the grid, 0.46 s of it the table.
+# On a 2-core Xeon with Python 3.11, past the count table, bcf --breaks-all lists 180k to
+# 195k spanning trees a second on K7 and 90k to 100k on the 3x5 grid, fibers --list 650k
+# members a second on K6 and 170k trees (--trees-only) on the grid.  A run at the limit
+# ends within about 0.35 s on K7, but takes about 1.0 s on the grid, 0.39 s of it the table.
 LISTING_LIMIT = 60_000
 
 
@@ -87,12 +87,6 @@ def _load_graph(path) -> Graph:
 def _edges_text(g: Graph) -> list:
     """The JSON text of each edge of g, by its rank in ``g.sorted_edges()``."""
     return ["[%d,%d]" % e for e in g.sorted_edges()]
-
-
-def _ranked(g: Graph):
-    """The function sorting edges of g into their ranks in ``g.sorted_edges()``."""
-    rank = {e: r for r, e in enumerate(g.sorted_edges())}
-    return lambda edges: sorted(map(rank.__getitem__, edges))
 
 
 def _forest_text(g: Graph):
@@ -215,18 +209,17 @@ def cmd_fibers(args) -> int:
     g = _load_graph(args.graphfile)
     g._require_connected()
     vs = sorted(g.vertices)
-    n = len(vs)
     # A record is a tree's text, then its fiber size and edge choices, which
     # the count column alone fixes, so each distinct column fills them once.
     tail = ',"fiber_size":"%s","edge_choices":{' + ",".join(f'"{v}":%s' for v in vs[1:]) + "}"
     # one edge per vertex gives the trees; any nonempty subset, all members
-    factor = [c if args.trees_only else (1 << c) - 1 for c in range(n)]
+    factor = [c if args.trees_only else (1 << c) - 1 for c in range(len(vs))]
     sums = supported_tree_sums(g, factor.__getitem__)  # full entry: what --list prints
     tree_text = _forest_text(g)
     listing = args.list and not args.table  # --table prints no members
     if listing:
         _check_listing("fibers --list members", sums[-1])
-        edges_text, ranked = _edges_text(g), _ranked(g)
+        edges_text, ranks = _edges_text(g), _attachment_ranks(g)
 
     def records():
         by_counts = {}  # count column -> fiber size, record text from the size on
@@ -242,8 +235,8 @@ def cmd_fibers(args) -> int:
             record = '{"tree":' + tree_text(blocks, parents) + rest
             if listing:
                 record += ',"members":[' + ",".join(
-                    "[" + ",".join(map(edges_text.__getitem__, ranked(m))) + "]" for m in
-                    fiber_members(g, _rooted_tree(vs, blocks[0], parents), args.trees_only)) + "]"
+                    "[" + ",".join(map(edges_text.__getitem__, sorted(m))) + "]"
+                    for m in _members(ranks(parents), args.trees_only)) + "]"
             yield record + "}"
     # --table prints its lines as print("\n".join(...)) would
     _write_joined(records(), *(("", "\n", "\n") if args.table else ("[", ",", "]\n")))
@@ -264,10 +257,9 @@ def cmd_bcf(args) -> int:
         _check_listing("bcf --breaks-all spanning trees", sums[-1])
         # a spanning tree takes one edge of each attachment set of its
         # skeleton, and the smaller edges of each set are its breaks
-        vs, ranked = sorted(g.vertices), _ranked(g)
+        ranks = _attachment_ranks(g)
         for blocks, parents, _, _ in _supported_forests(g, sums, 1):
-            tree = _rooted_tree(vs, blocks[0], parents)
-            sets = [ranked(es) for es in fiber_edge_sets(g, tree).values()]
+            sets = ranks(parents)
             for picks in itertools.product(*sets):
                 breaks = sorted(r for rs, kept in zip(sets, picks) for r in rs if r < kept)
                 records.append((tuple(sorted(picks)), tuple(breaks), blocks, parents))

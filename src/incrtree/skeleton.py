@@ -29,6 +29,7 @@ characterization of skeleton(G) == R, certifies the paper's collapse k
 from __future__ import annotations
 
 import itertools
+import math
 
 from .graphs import Graph
 from .trees import RootedForest, RootedTree, _attachment_sets
@@ -84,10 +85,16 @@ def fiber_size(g: Graph, tree: RootedTree) -> int:
     whenever some vertex has no attachment edge in g (the tree is not
     supported).
     """
-    out = 1
-    for es in fiber_edge_sets(g, tree).values():
-        out *= (1 << len(es)) - 1
-    return out
+    return math.prod((1 << len(es)) - 1 for es in fiber_edge_sets(g, tree).values())
+
+
+def _members(pools, trees_only: bool):
+    """The ``fiber_members`` product, over per-vertex sorted pools of any items."""
+    if not trees_only:
+        pools = [[tuple(x for i, x in enumerate(pool) if mask >> i & 1)
+                  for mask in range(1, 1 << len(pool))] for pool in pools]
+    members = itertools.product(*pools)
+    return members if trees_only else map(tuple, map(itertools.chain.from_iterable, members))
 
 
 def fiber_members(g: Graph, tree: RootedTree, trees_only: bool = False):
@@ -101,14 +108,7 @@ def fiber_members(g: Graph, tree: RootedTree, trees_only: bool = False):
     with the largest vertex advancing fastest, and a member lists its edges
     in that vertex order.  An unsupported tree yields an empty stream.
     """
-    pools = []
-    for es in fiber_edge_sets(g, tree).values():
-        es = sorted(es)
-        pools.append(es if trees_only else
-                     [tuple(e for i, e in enumerate(es) if mask >> i & 1)
-                      for mask in range(1, 1 << len(es))])
-    members = itertools.product(*pools)
-    return members if trees_only else map(tuple, map(itertools.chain.from_iterable, members))
+    return _members([sorted(es) for es in fiber_edge_sets(g, tree).values()], trees_only)
 
 
 def enumerate_fiber(g: Graph, tree: RootedTree):
@@ -124,6 +124,10 @@ def splits_match(g: Graph, tree: RootedTree) -> bool:
     with v removed, must fall apart into the same components as the subtree
     does.  For an increasing tree on a connected graph this holds exactly
     when skeleton(g) equals the tree; an unsupported tree always fails.
+    Restricting g per vertex costs O(|V| (|V| + |E|)); it stays the
+    independent check for small graphs.  A linear version would test the
+    two conditions of the linear certificate ``attachments_cover`` (edges
+    join ancestors to descendants, no attachment set is empty).
     """
     if g.vertices != tree.vertices:
         raise ValueError("tree and graph have different vertex sets")
@@ -145,10 +149,9 @@ def attachments_cover(g: Graph, tree: RootedTree) -> bool:
 
     This is the paper's characterization of skeleton(g) == tree: the
     per-vertex available attachment sets must all be nonempty and their
-    union must be the whole edge set of g.  The sets come from one walk
-    down the tree (``fiber_edge_sets``) and are joined once, so the check
-    costs O(|V| + |E|) and shares nothing with the elimination pass that
-    builds the skeleton: it is a linear certificate for k (``skeleton``).
+    union must be the whole edge set of g.  One walk down the tree finds
+    the sets (``fiber_edge_sets``), so this linear certificate for k
+    (``skeleton``) costs O(|V| + |E|) and shares nothing with its pass.
     """
     sets = fiber_edge_sets(g, tree).values()
     return all(sets) and frozenset().union(*sets) == g.edges

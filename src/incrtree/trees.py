@@ -29,7 +29,8 @@ far end of its smallest attachment edge in fields below.  Joining trees is
 an OR, a forest is the OR of its trees, and as the trees on one vertex set
 differ first in a parent, sorting their ints sorts them by parent vector,
 the ``increasing_trees`` order.  The stream hands each forest out as three
-byte columns, one item per vertex position.
+byte columns, one item per vertex position; the listings read whole
+attachment sets off a tree's parent column (``_attachment_ranks``).
 """
 
 from __future__ import annotations
@@ -410,6 +411,24 @@ def _rooted_tree(vs, block: int, parents) -> RootedTree:
     mask over the sorted vertices vs, with the forest's parent column."""
     at = [i for i in range(len(vs)) if block >> i & 1]
     return RootedTree(vs[at[0]], [(vs[i], vs[parents[i]]) for i in at[1:]])
+
+
+def _attachment_ranks(g: Graph):
+    """The function from the parent column of a tree of g streamed with q = 1
+    to its non-root positions' attachment edges in g, as ascending ranks in
+    ``g.sorted_edges()``: one pass from the largest position down gathers the
+    subtree masks sub, and position i's set is N(parent[i]) & sub[i]."""
+    adj = _adjacency_masks(g)[1]
+    n, r = len(adj), itertools.count()
+    rank = [[next(r) if x > p and adj[p] >> x & 1 else None for x in range(n)] for p in range(n)]
+
+    def ranks(parents):
+        sub = [1 << i for i in range(n)]
+        for i in range(n - 1, 0, -1):
+            sub[parents[i]] |= sub[i]
+        return [[rank[p][x] for x in range(i, n) if (adj[p] & sub[i]) >> x & 1]
+                for i, p in enumerate(parents) if i]
+    return ranks
 
 
 def supported_increasing_forests(g: Graph, q: int | None = None):

@@ -736,6 +736,43 @@ def test_q1_listings_build_no_mask_vertices_table(graphfile, capsys, monkeypatch
         assert run(capsys, argv[0], path, *argv[1:]) == (code, out, err)
 
 
+# sha256 of each listing's stdout on K5 and on the 3x4 grid (GRID_3X4)
+LISTING_DIGESTS = {
+    ("K5", "fibers", "--list"):
+        "efefe760602d319d812f8e886be9a16cc24ded70f996cd022b33be9efa66feb1",
+    ("K5", "fibers", "--list", "--trees-only"):
+        "8e503a45578859edf3d6a6af4dbd7b75a36a1ab8e408722dde5fe98db45d0884",
+    ("K5", "bcf", "--breaks-all"):
+        "98cc24c4cf7ad9e20ca84369d61623d7b6f9e0a13c5ca5ec3a5ee907a157f687",
+    ("K5", "bcf", "--breaks-all", "--table"):
+        "f908c029622c9a42cb2d22e61c976f3912378a29b81120b84691d25357ab4d46",
+    ("grid", "fibers", "--list"):
+        "1055898bc418ba78631a175d6b53dc9fdd9755562e238d894798ce2bc4ab658f",
+    ("grid", "fibers", "--list", "--trees-only"):
+        "a1594689c321b785616d10dc9b168523471a85594281b8f76158fccf93f44d6c",
+    ("grid", "bcf", "--breaks-all"):
+        "6340cea4973686b25e4fe3e0efbeaa9f5ecc6bbefa0bfd9f6981ef8110796af7",
+    ("grid", "bcf", "--breaks-all", "--table"):
+        "7a2c2d2bd638b108ed1aded71529b94beff8562f29a88e595b7a830f1aaca4c2",
+}
+
+
+def test_product_listings_build_no_rooted_tree(graphfile, capsys, monkeypatch):
+    """The listings that take products over attachment sets read the sets
+    off each streamed tree's parent column, so they build no RootedTree:
+    each prints its pinned bytes with RootedTree refused."""
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("RootedTree built")
+
+    monkeypatch.setattr(trees.RootedTree, "__init__", refuse)
+    paths = {"K5": graphfile(format_graph(Graph.complete(5)), "k5.txt"),
+             "grid": graphfile(format_graph(GRID_3X4), "grid.txt")}
+    for (name, command, *flags), digest in LISTING_DIGESTS.items():
+        code, out, err = run(capsys, command, paths[name], *flags)
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, (name, command, *flags)
+
+
 @pytest.mark.parametrize("flags", [["--q", "1"], ["--q", "2"], ["--q", "3"], ["--breaks-all"]])
 def test_bcf_table_lists_the_json_records(graphfile, capsys, flags):
     """Both writers list the same records in the same order: each --table

@@ -16,7 +16,8 @@ from incrtree.graphs import (EXHAUSTIVE_LIMIT, BoundExceededError, Graph,
 from incrtree.checks import _bcf_by_subsets, check_tree_stream
 from incrtree.skeleton import (attachments_cover, fiber_edge_sets, fiber_size,
                                skeleton, skeleton_forest)
-from incrtree.trees import (RootedForest, RootedTree, _supported_forests,
+from incrtree.trees import (RootedForest, RootedTree, _attachment_ranks,
+                            _rooted_tree, _supported_forests,
                             count_supported_trees, increasing_trees,
                             supported_increasing_forests, supported_tree_sums)
 from test_skeleton import random_sparse_graph
@@ -369,7 +370,9 @@ def relabel(g, labels):
 def test_tree_stream_on_every_small_connected_graph():
     """The tree stream lists the supported increasing trees in
     increasing_trees order, each non-root vertex with its attachment count
-    in g and its smallest attachment edge (checks.check_tree_stream)."""
+    in g, its smallest attachment edge and its attachment set as
+    _attachment_ranks reads it off the parent column, on every tree
+    (checks.check_tree_stream)."""
     for n in range(1, 6):
         for g in connected_graphs(n):
             check_tree_stream(g)
@@ -385,6 +388,37 @@ def test_tree_stream_on_seeded_and_relabelled_graphs():
         check_tree_stream(relabel(g, rng.sample(range(1, 40), n)))
     check_tree_stream(Graph.complete(9).restrict({2, 5, 7, 9}))
     check_tree_stream(random_connected_graph(9, rng).restrict({2, 5, 7, 9}))
+
+
+def check_attachment_ranks(g, most=None):
+    """_attachment_ranks of each streamed tree's parent column is that tree's
+    fiber_edge_sets, each set ranked in g.sorted_edges(); with most given,
+    only every k-th tree, about that many spread over the whole stream.
+    On small graphs check_tree_stream makes the same comparison."""
+    sums, ranks = supported_tree_sums(g, lambda c: 1), _attachment_ranks(g)
+    vs, rank = sorted(g.vertices), {e: r for r, e in enumerate(g.sorted_edges())}
+    step = 1 if most is None else max(1, sums[-1] // most)
+    for (block,), parents, _, _ in itertools.islice(_supported_forests(g, sums, 1),
+                                                    0, None, step):
+        sets = fiber_edge_sets(g, _rooted_tree(vs, block, parents))
+        assert ranks(parents) == [sorted(map(rank.get, es)) for es in sets.values()]
+
+
+def test_attachment_ranks_on_seeded_graphs_with_gaps():
+    """Seeded random connected graphs with 6 to 12 vertices, relabelled
+    with gaps so positions and labels differ."""
+    rng = random.Random(2905)
+    for n in range(6, 13):
+        g = random_connected_graph(n, rng)
+        check_attachment_ranks(relabel(g, sorted(rng.sample(range(1, 40), n))), most=1500)
+
+
+def test_attachment_ranks_on_the_16_vertex_fan():
+    """Every one of the 2^14 trees of the fan (vertex 1 joined to 2..16
+    plus the path 2-3-...-16), whose positions reach EXHAUSTIVE_LIMIT - 1."""
+    n = EXHAUSTIVE_LIMIT
+    check_attachment_ranks(Graph(n, [(1, v) for v in range(2, n + 1)]
+                                 + [(v, v + 1) for v in range(2, n)]))
 
 
 def forests_in_stream_order(g, q=None):
